@@ -17,6 +17,8 @@
 // them aggregatable.)
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -72,17 +74,28 @@ class SubmissionSealer {
     return blob.take();
   }
 
-  // On success, *seq_out (if given) receives the blob's submission counter
-  // so the caller can enforce replay freshness.
-  std::optional<std::vector<u8>> open(u64 client_id, size_t server,
+  // Authenticates a blob without decrypting it; the returned plaintext
+  // view borrows `blob`. *seq_out (if given) receives the blob's
+  // submission counter so the caller can enforce replay freshness.
+  std::optional<AeadPlaintext> verify(u64 client_id, size_t server,
                                       std::span<const u8> blob,
                                       u64* seq_out = nullptr) const {
     net::Reader prefix(blob);
     u64 seq = prefix.u64_();
     if (!prefix.ok()) return std::nullopt;
     if (seq_out) *seq_out = seq;
-    return Aead::open(key(client_id, server), nonce(seq), {},
-                      blob.subspan(8));
+    return Aead::verify(key(client_id, server), nonce(seq), {},
+                        blob.subspan(8));
+  }
+
+  std::optional<std::vector<u8>> open(u64 client_id, size_t server,
+                                      std::span<const u8> blob,
+                                      u64* seq_out = nullptr) const {
+    auto pt = verify(client_id, server, blob, seq_out);
+    if (!pt) return std::nullopt;
+    std::vector<u8> out(pt->size());
+    pt->read(0, out);
+    return out;
   }
 
  private:
@@ -162,34 +175,62 @@ std::vector<std::vector<u8>> seal_shared_vector(const SubmissionSealer& sealer,
   return blobs;
 }
 
-// Opens a sealed blob and decodes it into the caller-owned `out` buffer
-// (PRG-seed shares are bulk-expanded in place, explicit shares parsed
-// element by element) -- the batch pipelines point this at their
-// SnipVerifier's landing buffer so decryption feeds verification with no
-// intermediate vector. Returns false (leaving `out` unspecified) on any
-// malformed blob. Decodes exactly the blobs open_sealed_share does, to
-// identical elements.
+// Opens a sealed blob and decodes it into the caller-owned `out` buffer --
+// the batch pipelines point this at their SnipVerifier's landing buffer.
+// Nothing is allocated: the tag is checked over the ciphertext first, a
+// PRG-seed share is then bulk-expanded in place, and an explicit share is
+// decrypted in L1-sized keystream chunks and parsed straight into `out`
+// with one canonical-element check per chunk. Returns false (leaving `out`
+// unspecified) on a bad tag, an unknown kind, a wrong count or length, or
+// a non-canonical element -- exactly the blobs a parse of the whole
+// plaintext with net::Reader rejects, decoding the rest to identical
+// elements.
 template <PrimeField F>
 bool open_sealed_share_into(const SubmissionSealer& sealer, u64 client_id,
                             size_t server, std::span<const u8> blob,
                             std::span<F> out, u64* seq_out = nullptr) {
-  auto pt = sealer.open(client_id, server, blob, seq_out);
-  if (!pt) return false;
-  net::Reader r(*pt);
-  u8 kind = r.u8_();
-  if (!r.ok()) return false;
-  if (kind == kShareSeed) {
-    if (r.remaining() != 32) return false;
-    expand_share_seed_into<F>(std::span<const u8>(pt->data() + 1, 32), out);
+  auto pt = sealer.verify(client_id, server, blob, seq_out);
+  if (!pt || pt->size() == 0) return false;
+  // Plaintext: [u8 kind] then a 32-byte seed, or [u32 count] and `count`
+  // elements. The chunk is a whole number of keystream blocks; a partial
+  // element at a chunk's end is carried to the front of the next one.
+  constexpr size_t kChunk = 4096;
+  constexpr size_t kHeader = 5;
+  u8 buf[kChunk + F::kByteLen];
+  size_t have = std::min(pt->size(), kChunk);
+  pt->read(0, std::span<u8>(buf, have));
+  if (buf[0] == kShareSeed) {
+    if (pt->size() != 1 + 32) return false;
+    expand_share_seed_into<F>(std::span<const u8>(buf + 1, 32), out);
     return true;
   }
-  if (kind == kShareExplicit) {
-    u32 count = r.u32_();
-    if (!r.ok() || count != out.size()) return false;
-    for (size_t i = 0; i < out.size(); ++i) out[i] = r.field<F>();
-    return r.ok() && r.at_end();
+  if (buf[0] != kShareExplicit ||
+      pt->size() != kHeader + out.size() * F::kByteLen) {
+    return false;
   }
-  return false;
+  u32 count = 0;
+  for (int i = 0; i < 4; ++i) count |= static_cast<u32>(buf[1 + i]) << (8 * i);
+  if (count != out.size()) return false;
+  bool canonical = true;
+  size_t done = 0, at = kHeader, pos = have;
+  for (;;) {
+    const size_t n = (have - at) / F::kByteLen;
+    for (size_t i = 0; i < n; ++i) {
+      canonical &= F::from_canonical_bytes(buf + at + i * F::kByteLen,
+                                           &out[done + i]);
+    }
+    done += n;
+    at += n * F::kByteLen;
+    if (pos == pt->size()) break;
+    const size_t carry = have - at;
+    std::memmove(buf, buf + at, carry);
+    const size_t next = std::min(pt->size() - pos, kChunk);
+    pt->read(pos, std::span<u8>(buf + carry, next));
+    pos += next;
+    have = carry + next;
+    at = 0;
+  }
+  return canonical;
 }
 
 // Opens a sealed blob and decodes it into a length-`len` share vector

@@ -49,10 +49,7 @@ std::vector<u8> Aead::seal(std::span<const u8> key, std::span<const u8> nonce,
   require(key.size() == kKeyLen, "Aead::seal: key must be 32 bytes");
   require(nonce.size() == kNonceLen, "Aead::seal: nonce must be 12 bytes");
   std::vector<u8> out(plaintext.size() + kTagLen);
-  if (!plaintext.empty()) {
-    std::memcpy(out.data(), plaintext.data(), plaintext.size());
-  }
-  ChaCha20::xor_stream(key, 1, nonce,
+  ChaCha20::xor_stream(key, 1, nonce, plaintext,
                        std::span<u8>(out.data(), plaintext.size()));
   auto otk = poly_key(key, nonce);
   auto tag = compute_tag(otk, aad,
@@ -61,20 +58,45 @@ std::vector<u8> Aead::seal(std::span<const u8> key, std::span<const u8> nonce,
   return out;
 }
 
+std::optional<AeadPlaintext> Aead::verify(std::span<const u8> key,
+                                          std::span<const u8> nonce,
+                                          std::span<const u8> aad,
+                                          std::span<const u8> sealed) {
+  require(key.size() == kKeyLen, "Aead::verify: key must be 32 bytes");
+  require(nonce.size() == kNonceLen, "Aead::verify: nonce must be 12 bytes");
+  if (sealed.size() < kTagLen) return std::nullopt;
+  const size_t ct_len = sealed.size() - kTagLen;
+  auto otk = poly_key(key, nonce);
+  auto expect = compute_tag(otk, aad, sealed.first(ct_len));
+  if (!tags_equal(expect, sealed.subspan(ct_len))) return std::nullopt;
+  return AeadPlaintext(key, nonce, sealed.first(ct_len));
+}
+
 std::optional<std::vector<u8>> Aead::open(std::span<const u8> key,
                                           std::span<const u8> nonce,
                                           std::span<const u8> aad,
                                           std::span<const u8> ciphertext) {
-  require(key.size() == kKeyLen, "Aead::open: key must be 32 bytes");
-  require(nonce.size() == kNonceLen, "Aead::open: nonce must be 12 bytes");
-  if (ciphertext.size() < kTagLen) return std::nullopt;
-  size_t ct_len = ciphertext.size() - kTagLen;
-  auto otk = poly_key(key, nonce);
-  auto expect = compute_tag(otk, aad, ciphertext.first(ct_len));
-  if (!tags_equal(expect, ciphertext.subspan(ct_len))) return std::nullopt;
-  std::vector<u8> out(ciphertext.begin(), ciphertext.begin() + ct_len);
-  ChaCha20::xor_stream(key, 1, nonce, out);
+  auto pt = verify(key, nonce, aad, ciphertext);
+  if (!pt) return std::nullopt;
+  std::vector<u8> out(pt->size());
+  pt->read(0, out);
   return out;
+}
+
+AeadPlaintext::AeadPlaintext(std::span<const u8> key, std::span<const u8> nonce,
+                             std::span<const u8> ct)
+    : ct_(ct) {
+  std::memcpy(key_.data(), key.data(), key_.size());
+  std::memcpy(nonce_.data(), nonce.data(), nonce_.size());
+}
+
+void AeadPlaintext::read(size_t pos, std::span<u8> out) const {
+  require(pos % ChaCha20::kBlockLen == 0 && pos <= ct_.size() &&
+              out.size() <= ct_.size() - pos,
+          "AeadPlaintext::read: range outside the ciphertext");
+  // Block 0 keyed the tag; the plaintext keystream starts at block 1.
+  ChaCha20::xor_stream(key_, static_cast<u32>(1 + pos / ChaCha20::kBlockLen),
+                       nonce_, ct_.subspan(pos, out.size()), out);
 }
 
 }  // namespace prio

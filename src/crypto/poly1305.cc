@@ -3,71 +3,72 @@
 #include <cstring>
 
 namespace prio {
+namespace {
+
+constexpr u64 kMask44 = (u64{1} << 44) - 1;
+constexpr u64 kMask42 = (u64{1} << 42) - 1;
+
+inline u64 load64_le(const u8* p) {
+  u64 v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
+  return v;
+}
+
+inline void store64_le(u8* p, u64 v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<u8>(v >> (8 * i));
+}
+
+}  // namespace
 
 Poly1305::Poly1305(std::span<const u8> key32) : buf_len_(0) {
   require(key32.size() == kKeyLen, "Poly1305: key must be 32 bytes");
   const u8* key = key32.data();
-  // r with the RFC clamp, split into 26-bit limbs.
-  u32 t0 = static_cast<u32>(key[0]) | static_cast<u32>(key[1]) << 8 |
-           static_cast<u32>(key[2]) << 16 | static_cast<u32>(key[3]) << 24;
-  u32 t1 = static_cast<u32>(key[4]) | static_cast<u32>(key[5]) << 8 |
-           static_cast<u32>(key[6]) << 16 | static_cast<u32>(key[7]) << 24;
-  u32 t2 = static_cast<u32>(key[8]) | static_cast<u32>(key[9]) << 8 |
-           static_cast<u32>(key[10]) << 16 | static_cast<u32>(key[11]) << 24;
-  u32 t3 = static_cast<u32>(key[12]) | static_cast<u32>(key[13]) << 8 |
-           static_cast<u32>(key[14]) << 16 | static_cast<u32>(key[15]) << 24;
-  r_[0] = t0 & 0x3ffffff;
-  r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03;
-  r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff;
-  r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff;
-  r_[4] = (t3 >> 8) & 0x00fffff;
-  std::memset(h_, 0, sizeof(h_));
-  std::memcpy(pad_, key + 16, 16);
+  // r with the RFC clamp, split into 44/44/42-bit limbs.
+  const u64 t0 = load64_le(key);
+  const u64 t1 = load64_le(key + 8);
+  r_[0] = t0 & 0xffc0fffffffull;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffffull;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0full;
+  h_[0] = h_[1] = h_[2] = 0;
+  pad_[0] = load64_le(key + 16);
+  pad_[1] = load64_le(key + 24);
 }
 
-void Poly1305::process_block(const u8* block, u32 hibit) {
-  u32 t0 = static_cast<u32>(block[0]) | static_cast<u32>(block[1]) << 8 |
-           static_cast<u32>(block[2]) << 16 | static_cast<u32>(block[3]) << 24;
-  u32 t1 = static_cast<u32>(block[4]) | static_cast<u32>(block[5]) << 8 |
-           static_cast<u32>(block[6]) << 16 | static_cast<u32>(block[7]) << 24;
-  u32 t2 = static_cast<u32>(block[8]) | static_cast<u32>(block[9]) << 8 |
-           static_cast<u32>(block[10]) << 16 | static_cast<u32>(block[11]) << 24;
-  u32 t3 = static_cast<u32>(block[12]) | static_cast<u32>(block[13]) << 8 |
-           static_cast<u32>(block[14]) << 16 | static_cast<u32>(block[15]) << 24;
+void Poly1305::blocks(const u8* m, size_t bytes, u64 hibit) {
+  const u64 r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // 2^130 = 5 (mod p); the limbs above 2^128 carry an extra factor of 4
+  // from the 44+44+42 split, hence 5 << 2.
+  const u64 s1 = r1 * (5 << 2), s2 = r2 * (5 << 2);
+  u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  for (; bytes >= 16; bytes -= 16, m += 16) {
+    const u64 t0 = load64_le(m);
+    const u64 t1 = load64_le(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
-  u64 h0 = h_[0] + (t0 & 0x3ffffff);
-  u64 h1 = h_[1] + (((t0 >> 26) | (t1 << 6)) & 0x3ffffff);
-  u64 h2 = h_[2] + (((t1 >> 20) | (t2 << 12)) & 0x3ffffff);
-  u64 h3 = h_[3] + (((t2 >> 14) | (t3 << 18)) & 0x3ffffff);
-  u64 h4 = h_[4] + ((t3 >> 8) | (hibit << 24));
+    const u128 d0 = static_cast<u128>(h0) * r0 + static_cast<u128>(h1) * s2 +
+                    static_cast<u128>(h2) * s1;
+    u128 d1 = static_cast<u128>(h0) * r1 + static_cast<u128>(h1) * r0 +
+              static_cast<u128>(h2) * s2;
+    u128 d2 = static_cast<u128>(h0) * r2 + static_cast<u128>(h1) * r1 +
+              static_cast<u128>(h2) * r0;
 
-  u64 r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  u64 s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-
-  u64 d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-  u64 d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-  u64 d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-  u64 d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-  u64 d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-
-  u64 c;
-  c = d0 >> 26; h0 = d0 & 0x3ffffff;
-  d1 += c; c = d1 >> 26; h1 = d1 & 0x3ffffff;
-  d2 += c; c = d2 >> 26; h2 = d2 & 0x3ffffff;
-  d3 += c; c = d3 >> 26; h3 = d3 & 0x3ffffff;
-  d4 += c; c = d4 >> 26; h4 = d4 & 0x3ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
-  h1 += c;
-
-  h_[0] = static_cast<u32>(h0);
-  h_[1] = static_cast<u32>(h1);
-  h_[2] = static_cast<u32>(h2);
-  h_[3] = static_cast<u32>(h3);
-  h_[4] = static_cast<u32>(h4);
+    u64 c = static_cast<u64>(d0 >> 44);
+    h0 = static_cast<u64>(d0) & kMask44;
+    d1 += c; c = static_cast<u64>(d1 >> 44); h1 = static_cast<u64>(d1) & kMask44;
+    d2 += c; c = static_cast<u64>(d2 >> 42); h2 = static_cast<u64>(d2) & kMask42;
+    h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+    h1 += c;
+  }
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 Poly1305& Poly1305::update(std::span<const u8> data) {
   if (data.empty()) return *this;  // keep memcpy away from a null span
+  constexpr u64 kHibit = u64{1} << 40;
   size_t off = 0;
   if (buf_len_ > 0) {
     size_t n = std::min(data.size(), buf_.size() - buf_len_);
@@ -75,14 +76,13 @@ Poly1305& Poly1305::update(std::span<const u8> data) {
     buf_len_ += n;
     off = n;
     if (buf_len_ == 16) {
-      process_block(buf_.data(), 1);
+      blocks(buf_.data(), 16, kHibit);
       buf_len_ = 0;
     }
   }
-  while (off + 16 <= data.size()) {
-    process_block(data.data() + off, 1);
-    off += 16;
-  }
+  const size_t whole = (data.size() - off) & ~size_t{15};
+  blocks(data.data() + off, whole, kHibit);
+  off += whole;
   if (off < data.size()) {
     std::memcpy(buf_.data(), data.data() + off, data.size() - off);
     buf_len_ = data.size() - off;
@@ -95,58 +95,37 @@ std::array<u8, Poly1305::kTagLen> Poly1305::finalize() {
     u8 block[16] = {0};
     std::memcpy(block, buf_.data(), buf_len_);
     block[buf_len_] = 1;
-    process_block(block, 0);
+    blocks(block, 16, 0);
   }
-  // Full carry propagation, then compute h + -p and select.
-  u32 h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  u32 c = h1 >> 26; h1 &= 0x3ffffff;
-  h2 += c; c = h2 >> 26; h2 &= 0x3ffffff;
-  h3 += c; c = h3 >> 26; h3 &= 0x3ffffff;
-  h4 += c; c = h4 >> 26; h4 &= 0x3ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
+  // Full carry propagation (twice round the 2^130 = 5 fold), then compute
+  // g = h + 5 - 2^130 = h - p and select it iff it did not borrow (h >= p).
+  u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  u64 c = h1 >> 44; h1 &= kMask44;
+  h2 += c; c = h2 >> 42; h2 &= kMask42;
+  h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+  h1 += c; c = h1 >> 44; h1 &= kMask44;
+  h2 += c; c = h2 >> 42; h2 &= kMask42;
+  h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
   h1 += c;
 
-  u32 g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
-  u32 g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
-  u32 g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
-  u32 g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
-  u32 g4 = h4 + c - (1u << 26);
+  u64 g0 = h0 + 5; c = g0 >> 44; g0 &= kMask44;
+  u64 g1 = h1 + c; c = g1 >> 44; g1 &= kMask44;
+  const u64 g2 = h2 + c - (u64{1} << 42);
 
-  u32 mask = (g4 >> 31) - 1;  // all-ones if h >= p
+  const u64 mask = (g2 >> 63) - 1;  // all-ones if h >= p
   h0 = (h0 & ~mask) | (g0 & mask);
   h1 = (h1 & ~mask) | (g1 & mask);
   h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
 
-  // h = h mod 2^128, then add pad (s) with carry.
-  u32 f0 = (h0 | (h1 << 26));
-  u32 f1 = ((h1 >> 6) | (h2 << 20));
-  u32 f2 = ((h2 >> 12) | (h3 << 14));
-  u32 f3 = ((h3 >> 18) | (h4 << 8));
-
-  u64 t;
-  u32 p0 = static_cast<u32>(pad_[0]) | static_cast<u32>(pad_[1]) << 8 |
-           static_cast<u32>(pad_[2]) << 16 | static_cast<u32>(pad_[3]) << 24;
-  u32 p1 = static_cast<u32>(pad_[4]) | static_cast<u32>(pad_[5]) << 8 |
-           static_cast<u32>(pad_[6]) << 16 | static_cast<u32>(pad_[7]) << 24;
-  u32 p2 = static_cast<u32>(pad_[8]) | static_cast<u32>(pad_[9]) << 8 |
-           static_cast<u32>(pad_[10]) << 16 | static_cast<u32>(pad_[11]) << 24;
-  u32 p3 = static_cast<u32>(pad_[12]) | static_cast<u32>(pad_[13]) << 8 |
-           static_cast<u32>(pad_[14]) << 16 | static_cast<u32>(pad_[15]) << 24;
-  t = static_cast<u64>(f0) + p0; f0 = static_cast<u32>(t);
-  t = static_cast<u64>(f1) + p1 + (t >> 32); f1 = static_cast<u32>(t);
-  t = static_cast<u64>(f2) + p2 + (t >> 32); f2 = static_cast<u32>(t);
-  t = static_cast<u64>(f3) + p3 + (t >> 32); f3 = static_cast<u32>(t);
+  // tag = (h + pad) mod 2^128.
+  const u64 p0 = pad_[0], p1 = pad_[1];
+  h0 += p0 & kMask44; c = h0 >> 44; h0 &= kMask44;
+  h1 += (((p0 >> 44) | (p1 << 20)) & kMask44) + c; c = h1 >> 44; h1 &= kMask44;
+  h2 += ((p1 >> 24) & kMask42) + c; h2 &= kMask42;
 
   std::array<u8, kTagLen> tag;
-  u32 words[4] = {f0, f1, f2, f3};
-  for (int i = 0; i < 4; ++i) {
-    tag[4 * i] = static_cast<u8>(words[i]);
-    tag[4 * i + 1] = static_cast<u8>(words[i] >> 8);
-    tag[4 * i + 2] = static_cast<u8>(words[i] >> 16);
-    tag[4 * i + 3] = static_cast<u8>(words[i] >> 24);
-  }
+  store64_le(tag.data(), h0 | (h1 << 44));
+  store64_le(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

@@ -22,12 +22,16 @@ class Poly1305 {
                                      std::span<const u8> data);
 
  private:
-  void process_block(const u8* block, u32 hibit);
+  // Absorbs `bytes` / 16 whole blocks; `hibit` is 2^128 as seen from the
+  // top limb (1 << 40), or 0 for the final, already-padded partial block.
+  void blocks(const u8* m, size_t bytes, u64 hibit);
 
-  // Accumulator and key in 26-bit limbs (classic floating-limb layout).
-  u32 r_[5];
-  u32 h_[5];
-  u8 pad_[16];
+  // Accumulator and key in 44/44/42-bit limbs, multiplied with 64x64->128
+  // products (the poly1305-donna-64 layout): 9 multiplies per block
+  // instead of the 25 of 26-bit limbs.
+  u64 r_[3];
+  u64 h_[3];
+  u64 pad_[2];
   std::array<u8, 16> buf_;
   size_t buf_len_;
 };

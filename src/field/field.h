@@ -28,6 +28,7 @@ concept PrimeField = requires(F a, F b, u64 x, int k, std::span<u8> out,
   { F::root_of_unity(k) } -> std::convertible_to<F>;
   { a.to_bytes(out) };
   { F::from_bytes(in) } -> std::convertible_to<F>;
+  { F::from_canonical_bytes(in.data(), &a) } -> std::convertible_to<bool>;
   F::kTwoAdicity;
   F::kByteLen;
   F::kBits;

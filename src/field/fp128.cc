@@ -180,23 +180,10 @@ void Fp128::to_bytes(std::span<u8> out) const {
 
 Fp128 Fp128::from_bytes(std::span<const u8> in) {
   require(in.size() >= kByteLen, "Fp128::from_bytes: buffer too small");
-  u128 v = 0;
-  for (size_t i = 0; i < kByteLen; ++i) {
-    v |= static_cast<u128>(in[i]) << (8 * i);
-  }
-  require(v < kModulus, "Fp128::from_bytes: non-canonical encoding");
-  return from_u128(v);
-}
-
-bool Fp128::from_random_bytes(std::span<const u8> in, Fp128* out) {
-  require(in.size() >= kByteLen, "Fp128::from_random_bytes: need 16 bytes");
-  u128 v = 0;
-  for (size_t i = 0; i < kByteLen; ++i) {
-    v |= static_cast<u128>(in[i]) << (8 * i);
-  }
-  if (v >= kModulus) return false;
-  *out = from_u128(v);
-  return true;
+  Fp128 out;
+  require(from_canonical_bytes(in.data(), &out),
+          "Fp128::from_bytes: non-canonical encoding");
+  return out;
 }
 
 std::string Fp128::to_string() const {

@@ -73,8 +73,20 @@ class Fp128 {
   void to_bytes(std::span<u8> out) const;
   static Fp128 from_bytes(std::span<const u8> in);
 
+  // Parses 16 little-endian bytes; false (and *out = 0) if the value is
+  // not canonical. Non-throwing, for bulk wire parsing.
+  static bool from_canonical_bytes(const u8* in, Fp128* out) {
+    const u128 v = load_le(in);
+    const bool ok = v < modulus();
+    *out = ok ? from_u128(v) : Fp128();
+    return ok;
+  }
+
   // Uniform sampling from 16 PRG bytes with caller-driven rejection.
-  static bool from_random_bytes(std::span<const u8> in, Fp128* out);
+  static bool from_random_bytes(std::span<const u8> in, Fp128* out) {
+    require(in.size() >= kByteLen, "Fp128::from_random_bytes: need 16 bytes");
+    return from_canonical_bytes(in.data(), out);
+  }
 
   std::string to_string() const;
 
@@ -84,6 +96,12 @@ class Fp128 {
 
  private:
   constexpr Fp128(u64 lo, u64 hi) : lo_(lo), hi_(hi) {}
+
+  static u128 load_le(const u8* in) {
+    u128 v = 0;
+    for (size_t i = 0; i < kByteLen; ++i) v |= static_cast<u128>(in[i]) << (8 * i);
+    return v;
+  }
 
   static Fp128 mont_mul(Fp128 a, Fp128 b);
   static Fp128 add_raw(Fp128 a, Fp128 b);  // mod-p add on residues

@@ -88,14 +88,34 @@ class Fp64 {
   void to_bytes(std::span<u8> out) const;
   static Fp64 from_bytes(std::span<const u8> in);
 
+  // Parses 8 little-endian bytes; false (and *out = 0) if the value is not
+  // canonical. The non-throwing form behind bulk wire parsing: branch-free,
+  // so a loop over a buffer of elements stays straight-line code.
+  static bool from_canonical_bytes(const u8* in, Fp64* out) {
+    const u64 v = load_le(in);
+    const bool ok = v < kP;
+    *out = Fp64(ok ? v : 0);
+    return ok;
+  }
+
   // Uniform field element from 8 bytes of PRG output via rejection sampling
   // driven by the caller (returns false if the sample must be rejected).
-  static bool from_random_bytes(std::span<const u8> in, Fp64* out);
+  // Inline: it runs once per element of every PRG share expansion.
+  static bool from_random_bytes(std::span<const u8> in, Fp64* out) {
+    require(in.size() >= kByteLen, "Fp64::from_random_bytes: need 8 bytes");
+    return from_canonical_bytes(in.data(), out);
+  }
 
   std::string to_string() const;
 
  private:
   explicit constexpr Fp64(u64 v) : v_(v) {}
+
+  static u64 load_le(const u8* in) {
+    u64 v = 0;
+    for (size_t i = 0; i < kByteLen; ++i) v |= static_cast<u64>(in[i]) << (8 * i);
+    return v;
+  }
 
   // Reduces a 128-bit value mod p using 2^64 = 2^32 - 1 and 2^96 = -1 (mod p).
   // Branchless: every correction is a comparison-derived mask, so back-to-

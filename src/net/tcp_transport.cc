@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <thread>
@@ -250,20 +251,31 @@ void TcpMeshTransport::establish(int timeout_ms) {
 
   // Accept every higher-id peer; the hello says (and proves) who dialed.
   // Accepted connections wait in a pending set with their own generous
-  // deadline, each polled without blocking: a stray connection (scanner,
-  // misdirected client) cannot stall setup, and a peer whose hello is a
-  // few seconds behind its connect is not dropped.
+  // deadline: a stray connection (scanner, misdirected client) cannot
+  // stall setup, and a peer whose hello is a few seconds behind its
+  // connect is not dropped. One poll covers the listener and every
+  // pending connection, so a hello that trails its accept is read the
+  // moment it lands instead of after the listener's wait runs out.
   struct PendingConn {
     std::unique_ptr<FramedConn> conn;
     Clock::time_point give_up;
   };
   std::vector<PendingConn> waiting;
+  std::vector<pollfd> fds;
   size_t pending = n_ - 1 - self_;
   while (pending > 0) {
     if (ms_left(deadline) == 0) throw TransportError("mesh setup timed out");
-    if (auto sock = listener_->accept_conn(200)) {
-      waiting.push_back({std::make_unique<FramedConn>(std::move(*sock)),
-                         Clock::now() + std::chrono::seconds(10)});
+    fds.assign(1, pollfd{listener_->fd(), POLLIN, 0});
+    for (const auto& w : waiting) fds.push_back({w.conn->fd(), POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), std::min(200, ms_left(deadline))) < 0 &&
+        errno != EINTR) {
+      fail("poll(mesh setup)");
+    }
+    if (fds[0].revents != 0) {
+      if (auto sock = listener_->accept_conn(0)) {
+        waiting.push_back({std::make_unique<FramedConn>(std::move(*sock)),
+                           Clock::now() + std::chrono::seconds(10)});
+      }
     }
     for (auto it = waiting.begin(); it != waiting.end();) {
       std::optional<std::vector<u8>> hello;

@@ -142,15 +142,14 @@ class Reader {
       ok_ = false;
       return F::zero();
     }
-    // from_bytes throws on non-canonical input; convert to a soft failure.
-    try {
-      F v = F::from_bytes(data_.subspan(pos_, F::kByteLen));
-      pos_ += F::kByteLen;
-      return v;
-    } catch (const std::invalid_argument&) {
+    // A non-canonical encoding is a soft failure, like a short read.
+    F v;
+    if (!F::from_canonical_bytes(data_.data() + pos_, &v)) {
       ok_ = false;
       return F::zero();
     }
+    pos_ += F::kByteLen;
+    return v;
   }
 
   template <PrimeField F>

@@ -37,10 +37,13 @@ class Flags {
       // A flag followed by another flag (or by nothing) is boolean sugar:
       // "--smoke" stores "1". Every value-taking flag in the vocabulary
       // has a value that cannot start with "--".
+      // Values are built as strings and moved in: GCC 12 at -O3 misreads
+      // an inlined assign(const char*) here as an overlapping memcpy
+      // (-Wrestrict).
       if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-        values_[arg.substr(2)] = "1";
+        values_[arg.substr(2)] = std::string("1");
       } else {
-        values_[arg.substr(2)] = argv[++i];
+        values_[arg.substr(2)] = std::string(argv[++i]);
       }
     }
   }

@@ -123,6 +123,23 @@ struct ServerNodeConfig {
   obs::Registry* metrics = nullptr;
 };
 
+// Decodes a published epoch aggregate. An epoch with no accepted
+// submission has nothing to decode for the AFEs whose decoders divide by
+// the client count (linreg, stats, product, r2 throw on 0): it publishes
+// accepted = 0 with a default result instead of taking the server down.
+template <PrimeField F, typename Afe>
+typename Afe::Result decode_aggregate(const Afe& afe, std::span<const F> sigma,
+                                      u64 accepted) {
+  if (accepted == 0) {
+    try {
+      return afe.decode(sigma, 0);
+    } catch (const std::invalid_argument&) {
+      return {};
+    }
+  }
+  return afe.decode(sigma, accepted);
+}
+
 template <PrimeField F, typename Afe>
 class ServerNode {
  public:
@@ -509,9 +526,14 @@ class ServerNode {
   // commit broadcast, so the aggregate is durable before any peer can act
   // on it), elsewhere with nullptr after the commit frame arrives. The
   // runtime uses it to write the WAL epoch-close record.
+  //
+  // `decode` = false leaves the aggregate's result default-constructed: a
+  // shard lane publishes only a partial sum, which the router decodes once
+  // it has added every lane's (a lane may well have accepted nothing).
   // -------------------------------------------------------------------
   std::optional<EpochAggregate> publish_epoch(
-      const std::function<void(const EpochAggregate*)>& durable_hook = {}) {
+      const std::function<void(const EpochAggregate*)>& durable_hook = {},
+      bool decode = true) {
     const size_t s = cfg_.num_servers;
     std::string tag = "pub";
     tag += std::to_string(epoch_);
@@ -534,7 +556,10 @@ class ServerNode {
         }
         for (size_t c = 0; c < acc.size(); ++c) agg.sigma[c] += acc[c];
       }
-      agg.result = afe_->decode(std::span<const F>(agg.sigma), agg.accepted);
+      if (decode) {
+        agg.result = decode_aggregate<F>(*afe_, std::span<const F>(agg.sigma),
+                                         agg.accepted);
+      }
       if (durable_hook) durable_hook(&agg);
       net::Writer cw;
       cw.u32_(epoch_);

@@ -9,11 +9,10 @@
 // A three-server deployment on localhost:
 //
 //   SERVERS=127.0.0.1:9101:9201,127.0.0.1:9102:9202,127.0.0.1:9103:9203
-//   ./prio_server --id 0 --servers $SERVERS --afe countmin:w=256,d=4 \
-//       --epoch-size 40 &
+//   AFE="--afe countmin:w=256,d=4"
+//   ./prio_server --id 0 --servers $SERVERS $AFE --epoch-size 40 &
 //   ... same for --id 1 and --id 2 ...
-//   ./prio_client --servers $SERVERS --afe countmin:w=256,d=4 \
-//       --clients 40 --expect-clients 40
+//   ./prio_client --servers $SERVERS $AFE --clients 40 --expect-clients 40
 //
 // Every server must be started with the same --servers list, --master-seed,
 // --afe, --epoch-size, --batch, --epochs, --shards, and --pipeline-depth

@@ -110,8 +110,12 @@ class ServerRouter {
         lane_agg_[epoch][s->lane()] = agg;
       }
     }
-    for (auto& [epoch, per_lane] : lane_agg_) {
-      if (per_lane.size() == shards_.size()) combine_locked(epoch);
+    // combine_locked erases the epoch it combines: step past it first.
+    for (auto it = lane_agg_.begin(); it != lane_agg_.end();) {
+      const u32 epoch = it->first;
+      const bool complete = it->second.size() == shards_.size();
+      ++it;
+      if (complete) combine_locked(epoch);
     }
   }
 
@@ -221,6 +225,9 @@ class ServerRouter {
   void lane_closed(size_t lane, const EpochAggregate& agg) {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // A retried publication re-reports a close the router already
+      // combined; the global aggregate stands.
+      if (published_.count(agg.epoch) > 0) return;
       lane_agg_[agg.epoch][lane] = agg;
       if (lane_agg_[agg.epoch].size() == shards_.size()) {
         combine_locked(agg.epoch);
@@ -385,7 +392,8 @@ class ServerRouter {
     return it->second;
   }
 
-  // Callers hold mu_ (or run single-threaded setup).
+  // Callers hold mu_ (or run single-threaded setup). The lane partials are
+  // dropped once summed.
   void combine_locked(u32 epoch) {
     EpochAggregate g;
     g.epoch = epoch;
@@ -395,7 +403,9 @@ class ServerRouter {
       g.accepted += a.accepted;
       for (size_t c = 0; c < g.sigma.size(); ++c) g.sigma[c] += a.sigma[c];
     }
-    g.result = afe_->decode(std::span<const F>(g.sigma), g.accepted);
+    lane_agg_.erase(epoch);
+    g.result = decode_aggregate<F>(*afe_, std::span<const F>(g.sigma),
+                                   g.accepted);
     published_[epoch] = std::move(g);
   }
 

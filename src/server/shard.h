@@ -389,9 +389,9 @@ class ShardRuntime {
           } else {
             consume_close(closing);
           }
-          node_->publish_epoch([&](const EpochAggregate* agg) {
-            durable_epoch_close(agg);
-          });
+          node_->publish_epoch(
+              [&](const EpochAggregate* agg) { durable_epoch_close(agg); },
+              /*decode=*/false);
         } catch (const net::TransportError& e) {
           // The leader re-broadcasts the close marker on every attempt, so
           // a consumed-but-unused marker must not satisfy the retry.
@@ -885,14 +885,18 @@ class ShardRuntime {
   // the commit broadcast. Server 0 additionally reports the lane's
   // aggregate to the router, which sums lanes into the global publication.
   void durable_epoch_close(const EpochAggregate* agg) {
-    if (agg != nullptr) {  // server 0: the decoded lane aggregate itself
+    if (agg != nullptr) {  // server 0: the lane's (undecoded) partial sum
       if (store_) {
         net::Writer sig;
         sig.field_vector<F>(std::span<const F>(agg->sigma));
         store_->append_epoch_close(agg->epoch, agg->accepted, sig.data());
       }
       {
+        // Only the newest close is ever consulted again (the rejoin check);
+        // the router keeps the published history, so older lane partials
+        // are dropped instead of accumulating for the process lifetime.
         std::lock_guard<std::mutex> lock(mu_);
+        published_.erase(published_.begin(), published_.lower_bound(agg->epoch));
         published_[agg->epoch] = *agg;
       }
       cv_.notify_all();

@@ -420,8 +420,8 @@ RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
           agg.epoch = epoch;
           agg.accepted = accepted;
           agg.sigma = std::move(sigma);
-          agg.result =
-              afe->decode(std::span<const F>(agg.sigma), agg.accepted);
+          agg.result = decode_aggregate<F>(
+              *afe, std::span<const F>(agg.sigma), agg.accepted);
           out.published.emplace(epoch, std::move(agg));
         }
         node->close_epoch_local();
@@ -477,7 +477,8 @@ RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
       agg.epoch = epoch;
       agg.accepted = accepted;
       agg.sigma = std::move(sigma);
-      agg.result = afe->decode(std::span<const F>(agg.sigma), agg.accepted);
+      agg.result = decode_aggregate<F>(*afe, std::span<const F>(agg.sigma),
+                                       agg.accepted);
       out.published.emplace(epoch, std::move(agg));
     }
   }

@@ -1,9 +1,14 @@
 // Crypto substrate tests: RFC 8439 (ChaCha20, Poly1305, AEAD), FIPS 180-4
-// (SHA-256), RFC 4231 (HMAC), RFC 5869 (HKDF) vectors, plus secp256k1 group
-// laws and Schnorr OR-proof completeness/soundness.
+// (SHA-256), RFC 4231 (HMAC), RFC 5869 (HKDF) vectors, secp256k1 group laws
+// and Schnorr OR-proof completeness/soundness, plus differential tests of
+// every ChaCha20 dispatch path against the scalar block function and of the
+// allocation-free share open against a whole-plaintext parse.
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "core/submission.h"
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
 #include "crypto/hkdf.h"
@@ -110,6 +115,105 @@ TEST(ChaCha20Test, FillAndFillBlocksInterleave) {
   EXPECT_EQ(to_hex(std::span<const u8>(ref.data(), got.size())), to_hex(got));
 }
 
+// ---------- ChaCha20 dispatch paths ----------
+
+// Each multi-block path, reached through chacha_core::stream, must equal
+// the scalar ChaCha20::block keystream byte for byte: every length up to
+// 320, then up to 5000 in odd steps plus every 8- and 16-block group edge
+// (so every group, block and byte tail shape occurs), and start counters
+// on both sides of the 2^32 wrap.
+class ChaChaPathTest : public ::testing::TestWithParam<chacha_core::Path> {
+ protected:
+  void SetUp() override {
+    if (!chacha_core::supported(GetParam())) {
+      GTEST_SKIP() << "this CPU lacks " << chacha_core::name(GetParam());
+    }
+  }
+
+  static std::vector<u8> reference(std::span<const u8> key, u32 counter,
+                                   std::span<const u8> nonce, size_t len) {
+    std::vector<u8> ks((len + 63) / 64 * 64);
+    for (size_t b = 0; b * 64 < len; ++b) {
+      ChaCha20::block(key, counter + static_cast<u32>(b), nonce,
+                      std::span<u8>(ks.data() + 64 * b, 64));
+    }
+    ks.resize(len);
+    return ks;
+  }
+};
+
+TEST_P(ChaChaPathTest, KeystreamAndXorMatchScalarBlocks) {
+  std::mt19937_64 rng(0xc4ac4a20 + static_cast<int>(GetParam()));
+  auto random_bytes = [&](size_t n) {
+    std::vector<u8> v(n);
+    for (auto& b : v) b = static_cast<u8>(rng());
+    return v;
+  };
+  const u32 counters[] = {0, 1, 0xFFFFFFFFu - 15, 0xFFFFFFFFu - 7,
+                          0xFFFFFFFFu};
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 320; ++len) lengths.push_back(len);
+  for (size_t len = 321; len <= 5000; len += 37) lengths.push_back(len);
+  for (size_t edge = 512; edge <= 4096; edge += 512) {
+    for (size_t len : {edge - 65, edge - 1, edge, edge + 1, edge + 64}) {
+      lengths.push_back(len);
+    }
+  }
+  for (size_t len : lengths) {
+    for (u32 counter : counters) {
+      const auto key = random_bytes(32);
+      const auto nonce = random_bytes(12);
+      const auto want = reference(key, counter, nonce, len);
+      std::vector<u8> ks(len, 0xAA);
+      chacha_core::stream(GetParam(), key, counter, nonce, nullptr,
+                          ks.data(), len);
+      ASSERT_EQ(ks, want) << "keystream len=" << len << " ctr=" << counter;
+      // Out of place, then in place.
+      const auto msg = random_bytes(len);
+      std::vector<u8> ct(len);
+      chacha_core::stream(GetParam(), key, counter, nonce, msg.data(),
+                          ct.data(), len);
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(ct[i], msg[i] ^ want[i]) << "len=" << len << " byte " << i;
+      }
+      std::vector<u8> inplace = msg;
+      chacha_core::stream(GetParam(), key, counter, nonce, inplace.data(),
+                          inplace.data(), len);
+      ASSERT_EQ(inplace, ct) << "in-place len=" << len;
+    }
+  }
+}
+
+TEST_P(ChaChaPathTest, Rfc8439EncryptionVector) {
+  auto key = from_hex(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  auto nonce = from_hex("000000000000004a00000000");
+  std::string pt =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only "
+      "one tip for the future, sunscreen would be it.";
+  std::vector<u8> data(pt.begin(), pt.end());
+  chacha_core::stream(GetParam(), key, 1, nonce, data.data(), data.data(),
+                      data.size());
+  EXPECT_EQ(to_hex(data),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dispatch, ChaChaPathTest,
+    ::testing::Values(chacha_core::Path::kGeneric4, chacha_core::Path::kAvx2x8,
+                      chacha_core::Path::kAvx512x16),
+    [](const ::testing::TestParamInfo<chacha_core::Path>& info) {
+      return std::string(chacha_core::name(info.param));
+    });
+
+TEST(ChaCha20Test, SelectedPathIsSupported) {
+  EXPECT_TRUE(chacha_core::supported(chacha_core::selected()));
+  EXPECT_TRUE(chacha_core::supported(chacha_core::Path::kGeneric4));
+}
+
 // ---------- Poly1305 ----------
 
 TEST(Poly1305Test, Rfc8439Vector) {
@@ -129,6 +233,64 @@ TEST(Poly1305Test, IncrementalMatchesOneShot) {
   inc.update(as_bytes(msg).subspan(7, 20));
   inc.update(as_bytes(msg).subspan(27));
   EXPECT_EQ(to_hex(inc.finalize()), to_hex(Poly1305::mac(key, as_bytes(msg))));
+}
+
+// RFC 8439 Appendix A.3, vectors #1 and #4-#11. #5, #8 and #9 end with
+// the polynomial part at or just below p = 2^130 - 5, #6 overflows 2^128
+// when s is added, #7, #10 and #11 stress the limb carries.
+TEST(Poly1305Test, Rfc8439AppendixA3Vectors) {
+  struct Vec {
+    const char* key;
+    std::string msg_hex;
+    const char* tag;
+  };
+  const std::string zeros16(32, '0');
+  const Vec vecs[] = {
+      {"0000000000000000000000000000000000000000000000000000000000000000",
+       zeros16 + zeros16 + zeros16 + zeros16,
+       "00000000000000000000000000000000"},
+      {"1c9240a5eb55d38af333888604f6b5f0473917c1402b80099dca5cbc207075c0",
+       to_hex(as_bytes("'Twas brillig, and the slithy toves\nDid gyre and "
+                       "gimble in the wabe:\nAll mimsy were the borogoves,\n"
+                       "And the mome raths outgrabe.")),
+       "4541669a7eaaee61e708dc7cbcc5eb62"},
+      {"0200000000000000000000000000000000000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff", "03000000000000000000000000000000"},
+      {"02000000000000000000000000000000ffffffffffffffffffffffffffffffff",
+       "02000000000000000000000000000000", "03000000000000000000000000000000"},
+      {"0100000000000000000000000000000000000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff"
+       "f0ffffffffffffffffffffffffffffff"
+       "11000000000000000000000000000000",
+       "05000000000000000000000000000000"},
+      {"0100000000000000000000000000000000000000000000000000000000000000",
+       "ffffffffffffffffffffffffffffffff"
+       "fbfefefefefefefefefefefefefefefe"
+       "01010101010101010101010101010101",
+       "00000000000000000000000000000000"},
+      {"0200000000000000000000000000000000000000000000000000000000000000",
+       "fdffffffffffffffffffffffffffffff", "faffffffffffffffffffffffffffffff"},
+      {"0100000000000000040000000000000000000000000000000000000000000000",
+       "e33594d7505e43b90000000000000000"
+       "3394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000"
+       "01000000000000000000000000000000",
+       "14000000000000005500000000000000"},
+      {"0100000000000000040000000000000000000000000000000000000000000000",
+       "e33594d7505e43b90000000000000000"
+       "3394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000",
+       "13000000000000000000000000000000"},
+  };
+  for (const Vec& v : vecs) {
+    const auto key = from_hex(v.key);
+    const auto msg = from_hex(v.msg_hex);
+    EXPECT_EQ(to_hex(Poly1305::mac(key, msg)), v.tag) << "key " << v.key;
+    // The same tag when fed one byte at a time (the partial-block buffer).
+    Poly1305 inc(key);
+    for (u8 b : msg) inc.update(std::span<const u8>(&b, 1));
+    EXPECT_EQ(to_hex(inc.finalize()), v.tag) << "bytewise, key " << v.key;
+  }
 }
 
 TEST(Poly1305Test, TagsEqualIsConstantTimeCompare) {
@@ -178,6 +340,125 @@ TEST(AeadTest, TamperedCiphertextRejected) {
   EXPECT_FALSE(
       Aead::open(key, nonce, {}, std::span<const u8>(sealed.data(), 10))
           .has_value());
+}
+
+// ---------- allocation-free share open ----------
+
+// The pre-chunking decoder: decrypt the whole plaintext, then parse it
+// field by field with net::Reader. open_sealed_share_into must accept and
+// reject exactly the same blobs, decoding accepted ones identically.
+template <PrimeField F>
+std::optional<std::vector<F>> whole_plaintext_open(
+    const SubmissionSealer& sealer, u64 cid, size_t server,
+    std::span<const u8> blob, size_t len) {
+  auto pt = sealer.open(cid, server, blob);
+  if (!pt) return std::nullopt;
+  net::Reader r(*pt);
+  const u8 kind = r.u8_();
+  if (!r.ok()) return std::nullopt;
+  if (kind == kShareSeed) {
+    if (r.remaining() != 32) return std::nullopt;
+    return expand_share_seed<F>(std::span<const u8>(pt->data() + 1, 32), len);
+  }
+  if (kind != kShareExplicit) return std::nullopt;
+  const u32 count = r.u32_();
+  if (!r.ok() || count != len) return std::nullopt;
+  std::vector<F> out(len);
+  for (auto& x : out) x = r.field<F>();
+  if (!r.ok() || !r.at_end()) return std::nullopt;
+  return out;
+}
+
+template <PrimeField F>
+void check_open_matches_whole_plaintext() {
+  SubmissionSealer sealer(master_seed_bytes(77));
+  std::mt19937_64 rng(5);
+  // 1285 elements is one lan_backlog explicit share; 600 and 1 stay inside
+  // one 4 KB decryption chunk.
+  for (size_t len : {size_t{0}, size_t{1}, size_t{600}, size_t{1285}}) {
+    std::vector<F> share(len);
+    for (auto& x : share) x = random_field_element<F>(rng);
+    auto explicit_payload = [&](u32 count, std::span<const F> elems) {
+      net::Writer w;
+      w.u8_(kShareExplicit);
+      w.u32_(count);
+      for (const F& x : elems) {
+        u8 b[F::kByteLen];
+        x.to_bytes(b);
+        w.raw(std::span<const u8>(b, F::kByteLen));
+      }
+      return w.take();
+    };
+    const auto good = explicit_payload(static_cast<u32>(len), share);
+    std::vector<std::pair<std::string, std::vector<u8>>> blobs;
+    blobs.emplace_back("honest", sealer.seal(3, 2, 9, good));
+    auto flipped = blobs[0].second;
+    flipped.back() ^= 0x01;  // last tag byte
+    blobs.emplace_back("flipped tag", flipped);
+    blobs.emplace_back("count+1", sealer.seal(3, 2, 9, explicit_payload(
+                                                  static_cast<u32>(len + 1),
+                                                  share)));
+    if (len > 0) {
+      blobs.emplace_back("truncated body",
+                         sealer.seal(3, 2, 9, std::span<const u8>(good).first(
+                                                  good.size() - 1)));
+      blobs.emplace_back(
+          "one element short",
+          sealer.seal(3, 2, 9, explicit_payload(
+                                   static_cast<u32>(len - 1),
+                                   std::span<const F>(share).first(len - 1))));
+      // One non-canonical element (the encoding of p itself), late in the
+      // body so it falls in the last chunk for the long shares.
+      auto noncanon = good;
+      const size_t at = 5 + (len - 1) * F::kByteLen;
+      for (size_t i = 0; i < F::kByteLen; ++i) noncanon[at + i] = 0xFF;
+      blobs.emplace_back("non-canonical", sealer.seal(3, 2, 9, noncanon));
+    }
+    blobs.emplace_back("trailing byte", [&] {
+      auto p = good;
+      p.push_back(0);
+      return sealer.seal(3, 2, 9, p);
+    }());
+    blobs.emplace_back("empty plaintext", sealer.seal(3, 2, 9, {}));
+    blobs.emplace_back("unknown kind", [&] {
+      auto p = good;
+      p[0] = 7;
+      return sealer.seal(3, 2, 9, p);
+    }());
+    std::vector<u8> seed_payload(33, 0x5A);
+    seed_payload[0] = kShareSeed;
+    blobs.emplace_back("seed", sealer.seal(3, 2, 9, seed_payload));
+    seed_payload.push_back(0);
+    blobs.emplace_back("seed+1", sealer.seal(3, 2, 9, seed_payload));
+    blobs.emplace_back("wrong server", sealer.seal(3, 1, 9, good));
+    blobs.emplace_back("no seq", std::vector<u8>(5, 0));
+
+    for (const auto& [what, blob] : blobs) {
+      const auto want = whole_plaintext_open<F>(sealer, 3, 2, blob, len);
+      std::vector<F> got(len, F::one());
+      u64 seq = 0;
+      const bool ok = open_sealed_share_into<F>(sealer, 3, 2, blob,
+                                                std::span<F>(got), &seq);
+      ASSERT_EQ(ok, want.has_value()) << what << " len=" << len;
+      if (ok) {
+        EXPECT_EQ(got, *want) << what << " len=" << len;
+        EXPECT_EQ(seq, 9u);
+      }
+    }
+    // The honest blob decodes to the share itself.
+    std::vector<F> got(len);
+    ASSERT_TRUE(open_sealed_share_into<F>(sealer, 3, 2, blobs[0].second,
+                                          std::span<F>(got)));
+    EXPECT_EQ(got, share);
+  }
+}
+
+TEST(ShareOpenTest, ChunkedOpenMatchesWholePlaintextParseFp64) {
+  check_open_matches_whole_plaintext<Fp64>();
+}
+
+TEST(ShareOpenTest, ChunkedOpenMatchesWholePlaintextParseFp128) {
+  check_open_matches_whole_plaintext<Fp128>();
 }
 
 // ---------- SHA-256 / HMAC / HKDF ----------

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "afe/bitvec_sum.h"
+#include "afe/linreg.h"
 #include "core/client.h"
 #include "core/deployment.h"
 #include "net/tcp_transport.h"
@@ -70,11 +71,15 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
 // must carry 2 * nshards lanes; the upper half become the per-lane control
 // lanes, exactly as prio_server.cc wires them. base_override lets a test
 // interpose a wrapper transport (slow or flaky links).
-struct ShardedServer {
-  ShardedServer(const Afe& afe, net::LoopbackMesh& mesh, size_t self,
-                size_t nshards, server::RuntimeOptions opts,
-                net::Transport* base_override = nullptr,
-                size_t batch_threads = 1)
+template <typename A>
+struct ShardedServerFor {
+  using Node = ServerNode<F, A>;
+  using Router = server::ServerRouter<F, A>;
+
+  ShardedServerFor(const A& afe, net::LoopbackMesh& mesh, size_t self,
+                   size_t nshards, server::RuntimeOptions opts,
+                   net::Transport* base_override = nullptr,
+                   size_t batch_threads = 1)
       : base(&mesh, self),
         router(&afe, base_override ? base_override : &base,
                /*client_listener=*/nullptr, opts) {
@@ -92,7 +97,7 @@ struct ShardedServer {
       cfg.lane = l;
       cfg.batch_threads = batch_threads;
       nodes.push_back(std::make_unique<Node>(&afe, cfg, lanes.back().get()));
-      shards.push_back(std::make_unique<Router::Shard>(
+      shards.push_back(std::make_unique<typename Router::Shard>(
           nodes.back().get(), lanes.back().get(), &router, opts, nshards,
           /*store=*/nullptr, pipelined ? ctrls.back().get() : nullptr));
       router.add_shard(shards.back().get());
@@ -112,8 +117,9 @@ struct ShardedServer {
   std::vector<std::unique_ptr<net::LaneTransport>> lanes;
   std::vector<std::unique_ptr<net::LaneTransport>> ctrls;
   std::vector<std::unique_ptr<Node>> nodes;
-  std::vector<std::unique_ptr<Router::Shard>> shards;
+  std::vector<std::unique_ptr<typename Router::Shard>> shards;
 };
+using ShardedServer = ShardedServerFor<Afe>;
 
 struct Workload {
   std::vector<Submission> subs;
@@ -219,6 +225,85 @@ TEST(ShardedRouterTest, TwoLanesMatchSimnetAndRejectReplay) {
 // announcement -- and every follower rejects the announcement, because the
 // id does not hash to the lane. The mesh fails loudly on all servers; the
 // misrouted submission is never aggregated anywhere.
+// Runs one epoch of `subs` through a kShards-lane mesh of three servers
+// and returns server 0's published aggregate.
+template <typename A>
+std::optional<typename ServerNode<F, A>::EpochAggregate> run_one_epoch(
+    const A& afe, size_t nshards, const std::vector<Submission>& subs) {
+  server::RuntimeOptions opts;
+  opts.epoch_size = subs.size();
+  opts.max_batch = 8;
+  opts.epochs = 1;
+  opts.announce_wait_ms = 20'000;
+  opts.assemble_wait_ms = 5'000;
+  opts.linger_ms = 25;
+  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, nshards);
+  std::vector<std::unique_ptr<ShardedServerFor<A>>> servers;
+  for (size_t i = 0; i < kServers; ++i) {
+    servers.push_back(
+        std::make_unique<ShardedServerFor<A>>(afe, mesh, i, nshards, opts));
+    for (const auto& sub : subs) {
+      servers[i]->submit(sub.client_id, blob_seq(sub.blobs[i]), sub.blobs[i]);
+    }
+  }
+  std::optional<typename ServerNode<F, A>::EpochAggregate> agg;
+  std::vector<std::exception_ptr> errors(kServers);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kServers; ++i) {
+    threads.emplace_back([&, i] {
+      try {
+        auto a = servers[i]->router.run_epochs();
+        if (i == 0) agg = std::move(a);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  return agg;
+}
+
+// An AFE whose decode needs clients (linreg), two lanes, and every client
+// id hashing to lane 0: lane 1 closes the epoch having verified nothing.
+// Lane partials are never decoded -- only the router's lane sum is -- so
+// the empty lane neither throws nor changes the result: the published
+// aggregate equals the single-lane run's. With every submission tampered,
+// the epoch publishes accepted = 0 instead of throwing.
+TEST(ShardedRouterTest, EmptyLaneDoesNotDecodeAndMatchesSingleLane) {
+  afe::LinearRegression<F> afe(/*d=*/2, /*bits=*/6);
+  PrioClient<F, afe::LinearRegression<F>> encoder(&afe, kServers,
+                                                  kMasterSeed);
+  SecureRng rng(77);
+  std::vector<Submission> subs, tampered;
+  for (u64 cid = 0; subs.size() < 12; ++cid) {
+    if (server::shard_of(cid, 2) != 0) continue;
+    afe::LinearRegression<F>::Input in{{cid % 50, (3 * cid) % 64},
+                                       (2 * cid + 5) % 64};
+    auto blobs = encoder.upload(in, cid, rng);
+    subs.push_back({cid, blobs});
+    blobs[2][12] ^= 1;  // tampered ciphertext -> reject
+    tampered.push_back({cid, std::move(blobs)});
+  }
+
+  auto one = run_one_epoch(afe, 1, subs);
+  auto two = run_one_epoch(afe, 2, subs);
+  ASSERT_TRUE(one.has_value());
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(two->accepted, subs.size());
+  EXPECT_EQ(two->accepted, one->accepted);
+  EXPECT_EQ(two->sigma, one->sigma);
+  EXPECT_TRUE(two->result.solvable);
+  EXPECT_EQ(two->result.coeffs, one->result.coeffs);
+
+  auto none = run_one_epoch(afe, 2, tampered);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_EQ(none->accepted, 0u);
+  EXPECT_FALSE(none->result.solvable);
+}
+
 TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
   Afe afe(6);
   constexpr size_t kShards = 2;
