@@ -1,5 +1,7 @@
 // Microbenchmarks (google-benchmark): field multiplication (the header row
-// of Table 3), NTT, ChaCha20, SHA-256, secp256k1 scalar multiplication and
+// of Table 3), NTT (plus a fresh-vs-constant input pair that shows whether
+// the field arithmetic is branch-free), the client's SNIP proof
+// construction, ChaCha20, SHA-256, secp256k1 scalar multiplication and
 // OR-proof prove/verify (the primitive costs behind the NIZK baseline),
 // plus the server's per-blob kernels over one 10 KB explicit share: the
 // ChaCha20 stream (per dispatch path), Poly1305, Aead::open and PRG share
@@ -7,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "afe/bitvec_sum.h"
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
 #include "crypto/poly1305.h"
@@ -16,6 +19,7 @@
 #include "field/field.h"
 #include "poly/ntt.h"
 #include "share/share.h"
+#include "snip/snip.h"
 
 namespace prio {
 namespace {
@@ -60,6 +64,62 @@ void BM_Ntt(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_Ntt, Fp64)->RangeMultiplier(4)->Range(64, 16384);
 BENCHMARK_TEMPLATE(BM_Ntt, Fp128)->RangeMultiplier(4)->Range(64, 16384);
+
+// Forward NTT on input the branch predictor cannot learn: every iteration
+// transforms a freshly drawn random vector (the copy from a pool of
+// pre-drawn vectors is inside the timed region for both variants). Its
+// twin BM_NttConstant transforms the all-ones vector every time. If the
+// field arithmetic has data-dependent branches, the constant variant runs
+// well ahead of the fresh one; a fresh/constant ratio near 1 means the
+// butterflies are straight-line code.
+template <typename F, bool kFresh>
+void ntt_input_bench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  NttDomain<F> dom(n);
+  SecureRng rng(8);
+  constexpr size_t kPool = 64;
+  std::vector<std::vector<F>> pool(kPool, std::vector<F>(n, F::one()));
+  if (kFresh) {
+    for (auto& v : pool)
+      for (auto& x : v) x = rng.field_element<F>();
+  }
+  std::vector<F> data(n);
+  size_t k = 0;
+  for (auto _ : state) {
+    std::copy(pool[k].begin(), pool[k].end(), data.begin());
+    k = (k + 1) % kPool;
+    dom.forward(data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+}
+template <typename F>
+void BM_NttFresh(benchmark::State& state) {
+  ntt_input_bench<F, true>(state);
+}
+template <typename F>
+void BM_NttConstant(benchmark::State& state) {
+  ntt_input_bench<F, false>(state);
+}
+BENCHMARK_TEMPLATE(BM_NttFresh, Fp64)->Arg(512)->Arg(1024);
+BENCHMARK_TEMPLATE(BM_NttConstant, Fp64)->Arg(512)->Arg(1024);
+
+// SnipProver::build_extended_input for the bitvec_sum circuit of the given
+// length, on fresh random bit vectors (the client's proof-generation cost).
+void BM_BuildExtendedInput(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  afe::BitVectorSum<Fp64> afe(len);
+  SnipProver<Fp64> prover(&afe.valid_circuit());
+  SecureRng rng(9);
+  std::vector<Fp64> x(len);
+  for (auto _ : state) {
+    for (auto& v : x) v = rng.next_u64() & 1 ? Fp64::one() : Fp64::zero();
+    auto ext = prover.build_extended_input(x, rng);
+    benchmark::DoNotOptimize(ext.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BuildExtendedInput)->Arg(128)->Arg(256);
 
 void BM_ChaCha20Block(benchmark::State& state) {
   std::vector<u8> key(32, 1), nonce(12, 2);

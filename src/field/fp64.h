@@ -32,7 +32,7 @@ class Fp64 {
 
   // Constructs from an unsigned integer, reducing mod p.
   static constexpr Fp64 from_u64(u64 x) { return Fp64(x >= kP ? x - kP : x); }
-  static Fp64 from_u128(u128 x) { return Fp64(reduce128(x)); }
+  static constexpr Fp64 from_u128(u128 x) { return Fp64(reduce128(x)); }
 
   static constexpr Fp64 zero() { return Fp64(0); }
   static constexpr Fp64 one() { return Fp64(1); }
@@ -40,23 +40,27 @@ class Fp64 {
   // Canonical integer representative in [0, p).
   constexpr u64 to_u64() const { return v_; }
 
+  // Addition and subtraction compile to straight-line code: carries and
+  // borrows come from __builtin_{add,sub}_overflow (the CPU's carry flag)
+  // and every correction is an AND with an all-ones/all-zeros mask, which
+  // GCC and Clang emit as sbb/and/add. Comparison-derived corrections
+  // (`x += (r < a) * c`) look branch-free in C++, but GCC 12 at -O3 turns
+  // them into conditional jumps, which mispredict about half the time on
+  // uniformly random field elements.
   friend Fp64 operator+(Fp64 a, Fp64 b) {
-    // a.v_ + b.v_ < 2p < 2^65 may wrap; 2^64 = p + (2^32 - 1) mod p. The
-    // corrections are mask arithmetic, not branches, so additions inside
-    // the bulk kernels (field/kernels.h) stay straight-line code the
-    // compiler can vectorize.
-    u64 r = a.v_ + b.v_;
-    r += static_cast<u64>(r < a.v_) * 0xFFFFFFFFull;  // fold 2^64 overflow
-    r -= static_cast<u64>(r >= kP) * kP;
-    return Fp64(r);
+    // a + b = a - (p - b): p - b lies in (0, p], and on borrow the wrapped
+    // a - (p - b) + 2^64 plus p is a + b (mod 2^64), which is then < p.
+    u64 r = 0;
+    const bool borrow = __builtin_sub_overflow(a.v_, kP - b.v_, &r);
+    return Fp64(r + (mask(borrow) & kP));
   }
 
   friend Fp64 operator-(Fp64 a, Fp64 b) {
     // On borrow the wrapped value is a - b + 2^64 = (a - b + p) + (2^32-1),
-    // so subtracting 2^32 - 1 lands in [0, p). Branchless, as above.
-    u64 r = a.v_ - b.v_;
-    r -= static_cast<u64>(a.v_ < b.v_) * 0xFFFFFFFFull;
-    return Fp64(r);
+    // so subtracting 2^32 - 1 lands in [0, p).
+    u64 r = 0;
+    const bool borrow = __builtin_sub_overflow(a.v_, b.v_, &r);
+    return Fp64(r - (mask(borrow) & kEpsilon));
   }
 
   friend Fp64 operator*(Fp64 a, Fp64 b) {
@@ -64,7 +68,7 @@ class Fp64 {
     return Fp64(reduce128(static_cast<u128>(a.v_) * b.v_));
   }
 
-  Fp64 operator-() const { return Fp64(v_ == 0 ? 0 : kP - v_); }
+  Fp64 operator-() const { return Fp64((kP - v_) & mask(v_ != 0)); }
 
   Fp64& operator+=(Fp64 o) { return *this = *this + o; }
   Fp64& operator-=(Fp64 o) { return *this = *this - o; }
@@ -117,28 +121,37 @@ class Fp64 {
     return v;
   }
 
+  static constexpr u64 kEpsilon = 0xFFFFFFFFull;  // 2^64 mod p = 2^32 - 1
+
+  // All-ones if c, else zero: turns a carry/borrow flag into an AND mask.
+  static constexpr u64 mask(bool c) { return 0 - static_cast<u64>(c); }
+
   // Reduces a 128-bit value mod p using 2^64 = 2^32 - 1 and 2^96 = -1 (mod p).
-  // Branchless: every correction is a comparison-derived mask, so back-to-
-  // back reductions (Lagrange-row inner products, the NTT butterflies)
-  // execute as straight-line code with no data-dependent branches.
+  // Straight-line code (see operator+): every correction is a flag-derived
+  // mask, so back-to-back reductions (Lagrange-row inner products, the NTT
+  // butterflies) execute with no data-dependent branches.
   static constexpr u64 reduce128(u128 x) {
-    u64 lo = static_cast<u64>(x);
-    u64 hi = static_cast<u64>(x >> 64);
-    u64 hi_hi = hi >> 32;
-    u64 hi_lo = hi & 0xFFFFFFFFull;
+    const u64 lo = static_cast<u64>(x);
+    const u64 hi = static_cast<u64>(x >> 64);
+    const u64 hi_hi = hi >> 32;
+    const u64 hi_lo = hi & kEpsilon;
     // x = lo + 2^64*hi_lo + 2^96*hi_hi = lo + (2^32-1)*hi_lo - hi_hi (mod p).
     // Borrow correction: the wrapped lo - hi_hi is the true value + 2^64,
     // and 2^64 = 2^32 - 1 (mod p); the wrapped value is >= p > 2^32 - 1,
     // so this second subtraction cannot underflow.
-    u64 t = lo - hi_hi;
-    t -= static_cast<u64>(lo < hi_hi) * 0xFFFFFFFFull;
-    u64 s = hi_lo * 0xFFFFFFFFull;  // <= (2^32-1)^2 = 2^64 - 2^33 + 1
-    u64 r = t + s;
-    // Overflow fold: r < 2^64 - 2^33 after a wrap, so adding 2^32 - 1
-    // cannot wrap again, and the result stays < 2^64 < 2p.
-    r += static_cast<u64>(r < t) * 0xFFFFFFFFull;
-    r -= static_cast<u64>(r >= kP) * kP;
-    return r;
+    u64 t = 0;
+    const bool borrow = __builtin_sub_overflow(lo, hi_hi, &t);
+    t -= mask(borrow) & kEpsilon;
+    // hi_lo * (2^32 - 1) <= (2^32-1)^2 = 2^64 - 2^33 + 1. Carry fold: the
+    // wrapped sum is then < 2^64 - 2^33, so adding 2^32 - 1 cannot wrap
+    // again, and the result stays < 2^64 < 2p.
+    u64 r = 0;
+    const bool carry = __builtin_add_overflow(t, hi_lo * kEpsilon, &r);
+    r += mask(carry) & kEpsilon;
+    // Final conditional subtract of p, as a borrow-masked add-back.
+    u64 s = 0;
+    const bool below_p = __builtin_sub_overflow(r, kP, &s);
+    return s + (mask(below_p) & kP);
   }
 
   u64 v_;

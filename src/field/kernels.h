@@ -6,10 +6,11 @@
 // operators in fp64.h/fp128.h are the reference implementation; the
 // kernels here are the batch entry points the pipelines call:
 //
-//  * vec_add / vec_sub / vec_mul / vec_axpy run the branchless scalar ops
+//  * vec_add / vec_sub / vec_mul / vec_axpy run the branch-free scalar ops
 //    in straight-line loops over spans. For Fp64 every correction in the
-//    scalar op is mask arithmetic, so Release builds auto-vectorize the
-//    add/sub/axpy loops.
+//    scalar op is carry-flag mask arithmetic, so the loop bodies have no
+//    data-dependent branches. They stay scalar: the baseline x86-64 target
+//    has no 64-bit vector carry or unsigned compare to vectorize them with.
 //  * inner_product uses lazy reduction for Fp64: the 128-bit products are
 //    accumulated into independent 192-bit lanes (a u128 plus an overflow
 //    counter) and reduced ONCE per span instead of once per element,

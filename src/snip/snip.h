@@ -32,6 +32,7 @@
 // simulated network.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -80,8 +81,7 @@ class SnipProver {
       : circuit_(circuit),
         layout_(SnipLayout::for_circuit_dims(circuit->num_inputs(),
                                              circuit->num_mul_gates())),
-        dom_n_(layout_.n),
-        dom_2n_(layout_.h_len) {}
+        dom_n_(layout_.n) {}
 
   const SnipLayout& layout() const { return layout_; }
 
@@ -108,31 +108,26 @@ class SnipProver {
       g_evals[1 + t] = right[t];
     }
 
-    // Interpolate (inverse NTT), then evaluate on the double-size domain
-    // and multiply pointwise: h = f * g in point-value form. O(M log M).
-    dom_n_.inverse(f_evals);  // now coefficients
-    dom_n_.inverse(g_evals);
-    f_evals.resize(2 * n, F::zero());
-    g_evals.resize(2 * n, F::zero());
-    dom_2n_.forward(f_evals);  // now evaluations on the 2N domain
-    dom_2n_.forward(g_evals);
-    std::vector<F> h_points(2 * n);
-    for (size_t i = 0; i < 2 * n; ++i) h_points[i] = f_evals[i] * g_evals[i];
+    std::vector<F> ext(layout_.total_len());
+    std::copy(x.begin(), x.end(), ext.begin());
+    ext[layout_.off_f0()] = u0;
+    ext[layout_.off_g0()] = v0;
+
+    // h = f * g in point-value form on the 2N domain, written straight
+    // into ext. The even points w_{2N}^{2i} = w_N^i are where f and g are
+    // already known; the odd points come from one N-point coset transform
+    // per polynomial. O(M log M).
+    F* h = ext.data() + layout_.off_h();
+    for (size_t i = 0; i < n; ++i) h[2 * i] = f_evals[i] * g_evals[i];
+    dom_n_.odd_coset_evals(f_evals, g_evals);
+    for (size_t i = 0; i < n; ++i) h[2 * i + 1] = f_evals[i] * g_evals[i];
 
     // Beaver triple.
     F a = rng.field_element<F>();
     F b = rng.field_element<F>();
-    F c = a * b;
-
-    std::vector<F> ext;
-    ext.reserve(layout_.total_len());
-    ext.insert(ext.end(), x.begin(), x.end());
-    ext.push_back(u0);
-    ext.push_back(v0);
-    ext.insert(ext.end(), h_points.begin(), h_points.end());
-    ext.push_back(a);
-    ext.push_back(b);
-    ext.push_back(c);
+    ext[layout_.off_a()] = a;
+    ext[layout_.off_b()] = b;
+    ext[layout_.off_c()] = a * b;
     return ext;
   }
 
@@ -140,7 +135,6 @@ class SnipProver {
   const Circuit<F>* circuit_;
   SnipLayout layout_;
   NttDomain<F> dom_n_;
-  NttDomain<F> dom_2n_;
 };
 
 // ---------------------------------------------------------------------------
@@ -321,11 +315,11 @@ class SnipVerifier {
         mul_outputs_(layout_.num_mul, F::zero()),
         left_(layout_.num_mul, F::zero()),
         right_(layout_.num_mul, F::zero()),
-        // Slots past 1 + num_mul are the zero padding of the f/g tables;
-        // local_check rewrites only the prefix, so they stay zero for the
-        // lifetime of the verifier.
-        f_evals_(layout_.n, F::zero()),
-        g_evals_(layout_.n, F::zero()) {}
+        // Only the occupied prefix of the f/g tables: the point w^0 plus
+        // one point per mul gate. The remaining N - 1 - M domain points
+        // are zero padding and contribute nothing to the evaluation at r.
+        f_evals_(1 + layout_.num_mul, F::zero()),
+        g_evals_(1 + layout_.num_mul, F::zero()) {}
 
   const SnipLayout& layout() const { return layout_; }
 
@@ -367,8 +361,12 @@ class SnipVerifier {
       g_evals_[1 + t] = right_[t];
     }
 
-    F f_r = kernels::inner_product<F>(ctx.row_n(), f_evals_);
-    F g_r = kernels::inner_product<F>(ctx.row_n(), g_evals_);
+    // f and g vanish on the padding points past 1 + num_mul, so the row
+    // is only needed over the occupied prefix.
+    const std::span<const F> row_n =
+        std::span<const F>(ctx.row_n()).first(f_evals_.size());
+    F f_r = kernels::inner_product<F>(row_n, f_evals_);
+    F g_r = kernels::inner_product<F>(row_n, g_evals_);
     F h_r = kernels::inner_product<F>(ctx.row_2n(), h);
 
     SnipLocalState<F> st;

@@ -144,6 +144,58 @@ TEST(Fp64Basics, KnownProducts) {
   }
 }
 
+// +, -, * and unary - against plain u128 arithmetic for canonical a, b.
+void expect_fp64_ops_match_reference(u64 a, u64 b) {
+  const u128 p = Fp64::kP;
+  const Fp64 fa = Fp64::from_u64(a), fb = Fp64::from_u64(b);
+  EXPECT_EQ((fa + fb).to_u64(), static_cast<u64>((static_cast<u128>(a) + b) % p))
+      << a << " + " << b;
+  EXPECT_EQ((fa - fb).to_u64(), static_cast<u64>((static_cast<u128>(a) + p - b) % p))
+      << a << " - " << b;
+  EXPECT_EQ((fa * fb).to_u64(), static_cast<u64>(static_cast<u128>(a) * b % p))
+      << a << " * " << b;
+  EXPECT_EQ((-fa).to_u64(), static_cast<u64>((p - a) % p)) << "-" << a;
+}
+
+TEST(Fp64Basics, OpsMatchU128ReferenceOnRandomPairs) {
+  std::mt19937_64 rng(19);
+  for (int i = 0; i < 20000; ++i) {
+    expect_fp64_ops_match_reference(rng() % Fp64::kP, rng() % Fp64::kP);
+  }
+}
+
+// Every carry, borrow and final-subtract path of the masked arithmetic,
+// driven from a table of values around 0, 2^32, 2^63 and p.
+TEST(Fp64Basics, OpsMatchU128ReferenceOnBoundaryTable) {
+  const u64 p = Fp64::kP;
+  const u64 eps = 0xFFFFFFFFull;  // 2^64 - p
+  const std::vector<u64> table = {
+      0, 1, 2, eps - 1, eps, eps + 1, u64{1} << 32, (u64{1} << 32) + 1,
+      u64{1} << 63, (u64{1} << 63) - 1, (u64{1} << 63) + 1, p / 2, p / 2 + 1,
+      p - eps - 1, p - eps, p - eps + 1, p - 2, p - 1};
+  int wraps = 0, in_gap = 0, borrows = 0;
+  for (u64 a : table) {
+    for (u64 b : table) {
+      const u128 sum = static_cast<u128>(a) + b;
+      wraps += sum >> 64 != 0;
+      in_gap += sum >= p && sum < (static_cast<u128>(1) << 64);
+      borrows += a < b;
+      expect_fp64_ops_match_reference(a, b);
+    }
+  }
+  // The table must actually reach each correction path.
+  EXPECT_GT(wraps, 0);   // a + b overflows 2^64
+  EXPECT_GT(in_gap, 0);  // a + b lands in [p, 2^64)
+  EXPECT_GT(borrows, 0);
+  // reduce128 folds on raw 128-bit inputs: Fp64Reduce in test_kernels.cc.
+}
+
+// The masked reduction stays usable in constant expressions.
+static_assert(Fp64::from_u128(static_cast<u128>(Fp64::kP) * Fp64::kP).to_u64() == 0);
+static_assert(Fp64::from_u128(static_cast<u128>(1) << 64).to_u64() == 0xFFFFFFFFull);
+static_assert(Fp64::from_u128(~static_cast<u128>(0)).to_u64() ==
+              static_cast<u64>(~static_cast<u128>(0) % Fp64::kP));
+
 TEST(Fp64Basics, PowMatchesRepeatedMul) {
   Fp64 g = Fp64::from_u64(Fp64::kGenerator);
   Fp64 acc = Fp64::one();

@@ -51,6 +51,56 @@ TYPED_TEST(NttTest, RoundTrip) {
   }
 }
 
+TYPED_TEST(NttTest, InverseUnscaledIsNTimesCoefficients) {
+  using F = TypeParam;
+  std::mt19937_64 rng(7);
+  for (size_t n : {1, 2, 8, 128}) {
+    NttDomain<F> dom(n);
+    auto coeffs = random_poly<F>(n, rng);
+    auto work = coeffs;
+    dom.forward(work);
+    dom.inverse_unscaled(work);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(work[i], coeffs[i] * F::from_u64(n)) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TYPED_TEST(NttTest, OddCosetMatchesNaiveEvaluation) {
+  using F = TypeParam;
+  std::mt19937_64 rng(8);
+  for (size_t n : {1, 2, 4, 8, 32, 256, 512}) {
+    NttDomain<F> dom(n);
+    NttDomain<F> dom2(2 * n);
+    auto ca = random_poly<F>(n, rng);
+    auto cb = random_poly<F>(n, rng);
+    auto a = ca, b = cb;
+    dom.forward(a);
+    dom.forward(b);
+    dom.odd_coset_evals(a, b);
+    for (size_t i = 0; i < n; ++i) {
+      const F pt = dom2.root(2 * i + 1);
+      ASSERT_EQ(a[i], poly_eval(ca, pt)) << "n=" << n << " i=" << i;
+      ASSERT_EQ(b[i], poly_eval(cb, pt)) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TYPED_TEST(NttTest, SpanTransformsWorkInsideLargerBuffers) {
+  using F = TypeParam;
+  std::mt19937_64 rng(10);
+  const size_t n = 16;
+  NttDomain<F> dom(n);
+  auto buf = random_poly<F>(3 * n, rng);
+  const auto orig = buf;
+  std::span<F> mid = std::span<F>(buf).subspan(n, n);
+  dom.forward(mid);
+  dom.inverse(mid);
+  EXPECT_EQ(buf, orig);
+  EXPECT_THROW(dom.forward(std::span<F>(buf).first(n - 1)),
+               std::invalid_argument);
+}
+
 TYPED_TEST(NttTest, ConvolutionMultipliesPolynomials) {
   using F = TypeParam;
   std::mt19937_64 rng(3);

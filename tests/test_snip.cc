@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "circuit/circuit.h"
 #include "crypto/rng.h"
 #include "snip/mpc.h"
@@ -316,6 +318,103 @@ TYPED_TEST(SnipTest, TripleCheckCircuitGuardsMpcTriples) {
   VerificationContext<F> ctx(&check, 2, 41);
   auto ext = prover.build_extended_input(triples, rng);
   EXPECT_FALSE(snip_verify_all(ctx, share_vector<F>(ext, 2, rng)));
+}
+
+// ---------- prover fast path vs the textbook transform ----------
+
+// Textbook reference for the prover: interpolate f and g on the N-domain,
+// zero-pad to 2N, evaluate on the 2N-domain and multiply pointwise. Draws
+// from rng in the same order as SnipProver.
+template <PrimeField F>
+std::vector<F> reference_extended_input(const Circuit<F>& circuit,
+                                        std::span<const F> x, SecureRng& rng) {
+  const SnipLayout lay = SnipLayout::for_circuit_dims(circuit.num_inputs(),
+                                                      circuit.num_mul_gates());
+  std::vector<F> left, right;
+  circuit.mul_gate_inputs(circuit.evaluate(x), &left, &right);
+  std::vector<F> f(lay.n, F::zero()), g(lay.n, F::zero());
+  f[0] = rng.field_element<F>();
+  g[0] = rng.field_element<F>();
+  std::copy(left.begin(), left.end(), f.begin() + 1);
+  std::copy(right.begin(), right.end(), g.begin() + 1);
+  std::vector<F> ext(x.begin(), x.end());
+  ext.push_back(f[0]);
+  ext.push_back(g[0]);
+  NttDomain<F> dom_n(lay.n), dom_2n(lay.h_len);
+  dom_n.inverse(f);
+  dom_n.inverse(g);
+  f.resize(lay.h_len, F::zero());
+  g.resize(lay.h_len, F::zero());
+  dom_2n.forward(f);
+  dom_2n.forward(g);
+  for (size_t i = 0; i < lay.h_len; ++i) ext.push_back(f[i] * g[i]);
+  const F a = rng.field_element<F>();
+  const F b = rng.field_element<F>();
+  ext.push_back(a);
+  ext.push_back(b);
+  ext.push_back(a * b);
+  return ext;
+}
+
+// A circuit with exactly m mul gates, proven on random (invalid) field
+// inputs so f and g carry full-size values.
+template <PrimeField F>
+std::vector<F> prove_random(size_t m, u64 seed) {
+  auto circuit = bits_circuit<F>(m);
+  SecureRng rng(seed);
+  std::vector<F> x(m);
+  for (F& v : x) v = rng.field_element<F>();
+  SnipProver<F> prover(&circuit);
+  return prover.build_extended_input(x, rng);
+}
+
+TYPED_TEST(SnipTest, BuildExtendedInputMatchesTextbookTransform) {
+  using F = TypeParam;
+  for (size_t m : {1, 2, 3, 7, 127, 128, 255, 256}) {
+    auto circuit = bits_circuit<F>(m);
+    ASSERT_EQ(circuit.num_mul_gates(), m);
+    const u64 seed = 1000 + m;
+    const std::vector<F> got = prove_random<F>(m, seed);
+
+    SecureRng rng(seed);
+    std::vector<F> x(m);
+    for (F& v : x) v = rng.field_element<F>();
+    const std::vector<F> want = reference_extended_input(circuit, std::span<const F>(x), rng);
+    ASSERT_EQ(got.size(), want.size()) << "m=" << m;
+    EXPECT_TRUE(got == want) << "m=" << m;
+  }
+}
+
+// Provers of different sizes built and run on several threads at once, so
+// the process-wide NTT table cache (twiddles and coset tables) is filled
+// concurrently. Every proof must equal the single-threaded one.
+TEST(NttCacheConcurrency, ConcurrentProversMatchSingleThreaded) {
+  const std::vector<size_t> sizes = {3, 6, 14, 30, 62, 126, 254, 510};
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::vector<Fp64>>> got64(
+      kThreads, std::vector<std::vector<Fp64>>(sizes.size()));
+  std::vector<std::vector<std::vector<Fp128>>> got128(
+      kThreads, std::vector<std::vector<Fp128>>(sizes.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the sizes from a different starting point.
+      for (size_t k = 0; k < sizes.size(); ++k) {
+        const size_t i = (k + 2 * t) % sizes.size();
+        got64[t][i] = prove_random<Fp64>(sizes[i], 3000 + i);
+        got128[t][i] = prove_random<Fp128>(sizes[i], 3000 + i);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const auto want64 = prove_random<Fp64>(sizes[i], 3000 + i);
+    const auto want128 = prove_random<Fp128>(sizes[i], 3000 + i);
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(got64[t][i] == want64) << "m=" << sizes[i] << " thread " << t;
+      EXPECT_TRUE(got128[t][i] == want128) << "m=" << sizes[i] << " thread " << t;
+    }
+  }
 }
 
 }  // namespace
