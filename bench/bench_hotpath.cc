@@ -9,20 +9,19 @@
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
 //    including heap allocations per check via a counting allocator;
-//  * the end-to-end batched pipeline (process_batch) in subs/sec.
+//  * the end-to-end batched pipeline (process_batch) in subs/sec, over
+//    PrioDeployment lanes and over real ServerNode lanes on a loopback
+//    mesh, plus the metrics-overhead gate on the latter.
 //
 // Writes BENCH_hotpath.json (or --out <path>) so perf PRs accumulate a
 // recorded trajectory; --smoke shrinks the workload for CI.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -293,18 +292,13 @@ int main(int argc, char** argv) {
     json.kv("shards", static_cast<unsigned long long>(best_shards));
   }
 
-  // ---- pipelined node runtime (prepare/rounds overlap) -----------------
-  // The compute model of --pipeline-depth 2 (server/shard.h): while a
-  // lane's batch N runs its four SNIP rounds over the mesh, a prefetch
-  // thread decrypts and PRG-expands batch N+1 into a second PreparedBatch.
-  // This stage runs the real ServerNode split (prepare_batch /
-  // commit_or_rollback) over a LoopbackMesh -- protocol-faithful rounds,
-  // no sockets -- at depth 1 (serial baseline) and depth 2 (one slot of
-  // overlap), across 1/2/4 lanes. On >= 4 cores depth 2 should pull well
-  // ahead of the depth-1 rate; on fewer cores it must not regress.
+  // ---- node runtime: real ServerNode lanes ----------------------------
+  // The shard runtime's batch path (server/shard.h): every lane runs
+  // ServerNode::process_batch -- decrypt + PRG-expand, then the four SNIP
+  // rounds -- over a LoopbackMesh (protocol-faithful rounds, no sockets),
+  // one thread per (lane, server), across 1/2/4 lanes.
   {
-    double best_d1 = 0, best_d2 = 0;
-    size_t best_d2_shards = 1;
+    double best = 0;
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
       std::vector<std::vector<Submission>> split(shards);
       for (const auto& sub : subs) {
@@ -313,7 +307,7 @@ int main(int argc, char** argv) {
       // Fresh nodes per run (the replay floor would reject a re-run of
       // the same counters); best of two runs per config damps scheduler
       // noise, which dominates on small machines.
-      auto run_config = [&](size_t depth, obs::Registry* reg = nullptr) {
+      auto run_config = [&](obs::Registry* reg = nullptr) {
         net::LoopbackMesh mesh(kServers, 60'000, shards);
         std::vector<std::unique_ptr<net::LoopbackTransport>> bases;
         for (size_t i = 0; i < kServers; ++i) {
@@ -342,77 +336,13 @@ int main(int argc, char** argv) {
             for (size_t i = 0; i < kServers; ++i) {
               ServerNode<F, Afe>* node = nodes[l * kServers + i].get();
               const std::vector<Submission>* mine = &split[l];
-              threads.emplace_back([node, mine, depth, kBatch] {
-                const size_t nb = (mine->size() + kBatch - 1) / kBatch;
-                auto view = [&](size_t b) {
-                  const size_t off = b * kBatch;
+              threads.emplace_back([node, mine, kBatch] {
+                for (size_t off = 0; off < mine->size(); off += kBatch) {
                   const size_t q = std::min(kBatch, mine->size() - off);
-                  return node_view(
+                  node->process_batch(node_view(
                       std::span<const Submission>(mine->data() + off, q),
-                      node->self());
-                };
-                // On a single-core host there is no second core to overlap
-                // prepare with the rounds, so the prefetch handoff is pure
-                // context-switch loss: prepare inline instead. Multi-core
-                // hosts take the overlapped path below.
-                if (depth == 1 || std::thread::hardware_concurrency() < 2) {
-                  for (size_t b = 0; b < nb; ++b) {
-                    const auto shares = view(b);
-                    PreparedBatch<F> prep;
-                    node->prepare_batch(shares, prep);
-                    node->commit_or_rollback(shares, prep);
-                  }
-                  return;
+                      node->self()));
                 }
-                // Depth 2: double-buffered slots filled by a persistent
-                // prefetch thread (the runtime's shape), fed batch b+1
-                // while slot b's rounds run on this thread.
-                std::vector<SubmissionShare> shares[2];
-                PreparedBatch<F> preps[2];
-                std::mutex mu;
-                std::condition_variable cv;
-                std::optional<size_t> req;
-                bool done = false, quit = false;
-                std::thread pf([&] {
-                  std::unique_lock<std::mutex> lock(mu);
-                  for (;;) {
-                    cv.wait(lock, [&] { return quit || req.has_value(); });
-                    if (quit) return;
-                    const size_t b = *req;
-                    req.reset();
-                    lock.unlock();
-                    shares[b % 2] = view(b);
-                    node->prepare_batch(shares[b % 2], preps[b % 2]);
-                    lock.lock();
-                    done = true;
-                    cv.notify_all();
-                  }
-                });
-                if (nb > 0) {
-                  shares[0] = view(0);
-                  node->prepare_batch(shares[0], preps[0]);
-                }
-                for (size_t b = 0; b < nb; ++b) {
-                  bool prefetching = false;
-                  if (b + 1 < nb) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    req = b + 1;
-                    done = false;
-                    cv.notify_all();
-                    prefetching = true;
-                  }
-                  node->commit_or_rollback(shares[b % 2], preps[b % 2]);
-                  if (prefetching) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    cv.wait(lock, [&] { return done; });
-                  }
-                }
-                {
-                  std::lock_guard<std::mutex> lock(mu);
-                  quit = true;
-                  cv.notify_all();
-                }
-                pf.join();
               });
             }
           }
@@ -422,25 +352,19 @@ int main(int argc, char** argv) {
         for (size_t l = 0; l < shards; ++l) {
           accepted += nodes[l * kServers]->accepted();
         }
-        require(accepted == kN, "bench: pipelined node runtime rejected inputs");
+        require(accepted == kN, "bench: node runtime rejected inputs");
         return kN / t;
       };
-      for (size_t depth : {size_t{1}, size_t{2}}) {
-        const double rate = std::max(run_config(depth), run_config(depth));
-        std::printf("pipeline node d%zu s%zu:     %6.0f subs/s   (%.2fx batch)\n",
-                    depth, shards, rate, rate / batch_rate);
-        json.kv("pipeline_pipelined_d" + std::to_string(depth) + "_s" +
-                    std::to_string(shards) + "_subs_per_s",
-                rate);
-        if (depth == 1 && rate > best_d1) best_d1 = rate;
-        if (depth == 2 && rate > best_d2) {
-          best_d2 = rate;
-          best_d2_shards = shards;
-        }
-      }
+      const double rate = std::max(run_config(), run_config());
+      std::printf("pipeline node d1 s%zu:     %6.0f subs/s   (%.2fx batch)\n",
+                  shards, rate, rate / batch_rate);
+      json.kv("pipeline_pipelined_d1_s" + std::to_string(shards) +
+                  "_subs_per_s",
+              rate);
+      best = std::max(best, rate);
 
       // ---- metrics overhead gate (src/obs/) ----------------------------
-      // Same depth-2 two-lane run, uninstrumented vs with an attached
+      // Same two-lane run, uninstrumented vs with an attached
       // obs::Registry (stage histograms + verdict counters recording).
       // All node metrics fire per BATCH, not per submission, so the delta
       // must stay under 2%; scheduler noise at these run lengths can
@@ -448,30 +372,22 @@ int main(int argc, char** argv) {
       if (shards == 2) {
         double overhead = 1.0, base_rate = 0.0, instr_rate = 0.0;
         for (int att = 0; att < 4 && overhead >= 0.02; ++att) {
-          base_rate = std::max(run_config(2), run_config(2));
+          base_rate = std::max(run_config(), run_config());
           obs::Registry reg;
-          instr_rate = std::max(run_config(2, &reg), run_config(2, &reg));
+          instr_rate = std::max(run_config(&reg), run_config(&reg));
           overhead =
               base_rate > 0 ? (base_rate - instr_rate) / base_rate : 0.0;
         }
-        std::printf("metrics overhead d2 s2:  off %6.0f subs/s   on %6.0f"
+        std::printf("metrics overhead d1 s2:  off %6.0f subs/s   on %6.0f"
                     " subs/s   (%+.2f%%)\n",
                     base_rate, instr_rate, overhead * 100.0);
         json.kv("metrics_off_subs_per_s", base_rate);
         json.kv("metrics_on_subs_per_s", instr_rate);
         json.kv("metrics_overhead_frac", overhead);
-        require(overhead < 0.02,
-                "bench: metrics overhead exceeds 2% at depth 2");
+        require(overhead < 0.02, "bench: metrics overhead exceeds 2%");
       }
     }
-    json.kv("pipeline_pipelined1_subs_per_s", best_d1);
-    json.kv("pipeline_pipelined_subs_per_s", best_d2);
-    json.kv("pipeline_pipelined_shards",
-            static_cast<unsigned long long>(best_d2_shards));
-    json.kv("pipeline_depth", 2ull);
-    std::printf("pipeline pipelined:      depth1 %6.0f subs/s   depth2 %6.0f"
-                " subs/s   (%.2fx)\n", best_d1, best_d2,
-                best_d1 > 0 ? best_d2 / best_d1 : 0.0);
+    json.kv("pipeline_pipelined1_subs_per_s", best);
   }
 
   std::string payload = json.finish();

@@ -3,10 +3,11 @@
 // SUBSTITUTION NOTE (DESIGN.md §2): the paper runs five servers in five
 // Amazon datacenters. We run server instances in one process and model the
 // network as point-to-point links with (a) exact per-link byte counters --
-// these regenerate Figure 6 -- and (b) a configurable one-way latency used
-// to report pipeline depth. Throughput in the paper's setup is compute-
-// bound (clients stream over persistent connections), so the harness
-// reports throughput from per-server busy time, not from latency.
+// these regenerate Figure 6 -- and (b) a configurable one-way latency,
+// charged once per message round (simulated_latency_us). Throughput in
+// the paper's setup is compute-bound (clients stream over persistent
+// connections), so the harness reports throughput from per-server busy
+// time, not from latency.
 #pragma once
 
 #include <chrono>

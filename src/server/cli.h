@@ -152,22 +152,9 @@ inline afe::AfeSpec resolve_afe_spec(const Flags& flags) {
 struct CommonConfig {
   std::vector<ServerEndpoint> endpoints;
   u64 master_seed = 1;
-  size_t shards = 1;
-  // --pipeline-depth: 1 = serial lanes (byte-identical legacy wire), 2 =
-  // prefetch batch N+1 while batch N's rounds are in flight. Depths above
-  // 2 are accepted and behave as 2 (one prefetched slot). Part of the
-  // deployment identity: depth >= 2 doubles the mesh's transport lane
-  // count (a control lane per shard), so all servers must agree.
-  size_t pipeline_depth = 1;
+  size_t shards = 1;  // also the mesh's transport lane count
   afe::AfeSpec spec;  // as given; normalize via afe::with_afe
 };
-
-// Transport lanes the mesh needs for a deployment: one per shard, plus a
-// control lane per shard when pipelining (announcements read ahead of the
-// data lane's round frames).
-inline size_t mesh_lane_count(const CommonConfig& cfg) {
-  return cfg.shards * (cfg.pipeline_depth >= 2 ? 2 : 1);
-}
 
 inline CommonConfig parse_common_config(const Flags& flags) {
   CommonConfig cfg;
@@ -176,11 +163,6 @@ inline CommonConfig parse_common_config(const Flags& flags) {
   cfg.master_seed = flags.num("master-seed", 1);
   cfg.shards = flags.num("shards", 1);
   require(cfg.shards >= 1 && cfg.shards <= 255, "--shards must be 1..255");
-  cfg.pipeline_depth = flags.num("pipeline-depth", 1);
-  require(cfg.pipeline_depth >= 1 && cfg.pipeline_depth <= 8,
-          "--pipeline-depth must be 1..8");
-  require(mesh_lane_count(cfg) <= 255,
-          "--shards with --pipeline-depth >= 2 needs shards <= 127");
   cfg.spec = resolve_afe_spec(flags);
   return cfg;
 }

@@ -76,15 +76,14 @@ inline std::vector<SubmissionShare> node_view(
   return out;
 }
 
-// The CPU-heavy, network-free front half of a batch, double-buffered by the
-// pipelined runtime (server/shard.h): every sealed blob decrypted and
-// PRG-expanded into ONE flat preallocated buffer (q * ext_len field
-// elements; the x-share aggregation slice is the prefix of each row), plus
-// the per-submission sequence numbers and the parse bitmap. Owning the
-// expansion here -- instead of inside the per-worker SnipVerifier scratch --
-// is what lets batch N+1 be prepared on a prefetch thread while batch N's
-// rounds are still reading its own PreparedBatch: the two batches never
-// share scratch, and nothing is allocated per submission.
+// The CPU-heavy, network-free front half of a batch: every sealed blob
+// decrypted and PRG-expanded into ONE flat preallocated buffer (q * ext_len
+// field elements; the x-share aggregation slice is the prefix of each
+// row), plus the per-submission sequence numbers and the parse bitmap.
+// Owning the expansion here -- instead of inside the per-worker
+// SnipVerifier scratch -- lets an aborted batch be retried over the same
+// PreparedBatch without re-opening its blobs, and nothing is allocated per
+// submission.
 template <PrimeField F>
 struct PreparedBatch {
   std::vector<F> ext;      // count * ext_len expanded shares, row-major
@@ -167,9 +166,8 @@ class ServerNode {
     require(transport->num_nodes() == cfg.num_servers &&
                 transport->self() == cfg.self,
             "ServerNode: transport/config mismatch");
-    // Created eagerly, not on first use: prepare_batch may run on a
-    // prefetch thread concurrently with the lane thread's rounds, and a
-    // lazy first-touch pool creation would race.
+    // Created eagerly, not on first use, so ensure_pool() is a plain read
+    // from whichever thread drives the node.
     if (!cfg_.shared_pool) {
       pool_ = std::make_unique<ThreadPool>(cfg_.batch_threads);
     }
@@ -220,14 +218,12 @@ class ServerNode {
 
   // -------------------------------------------------------------------
   // Batched verification, split into a network-free prepare phase and the
-  // four mesh rounds so the runtime can software-pipeline batches:
+  // four mesh rounds so an aborted batch can be retried, and so a harness
+  // can time the two halves apart:
   //
   //   prepare_batch       decrypt + PRG-expand every blob into a caller-
   //                       owned PreparedBatch. Touches NO protocol state
-  //                       (sealer keys only), so it is safe to run on a
-  //                       prefetch thread for batch N+1 while this node's
-  //                       lane thread is inside commit_or_rollback for
-  //                       batch N.
+  //                       (sealer keys only).
   //   commit_or_rollback  the SNIP rounds + aggregation over a prepared
   //                       batch, with the PR 4 two-phase abort story: a
   //                       mid-round TransportError rolls the node back to
@@ -237,9 +233,9 @@ class ServerNode {
   //                       PreparedBatch is left intact: a retry under a
   //                       fresh generation may reuse it.
   //   process_batch       prepare + commit_or_rollback back-to-back; the
-  //                       depth-1 (unpipelined) path, bit-identical on the
-  //                       wire and in every state transition to the
-  //                       pre-split implementation.
+  //                       shard runtime's path, bit-identical on the wire
+  //                       and in every state transition to the pre-split
+  //                       implementation.
   //
   // All nodes must process the same ordered batch (same client ids, each
   // holding its own blob); the runtime's leader announcement guarantees
@@ -257,8 +253,8 @@ class ServerNode {
     if (q == 0) return;
     const size_t me = cfg_.self;
     // ThreadPool::parallel_for is safe from concurrent callers, and the
-    // workers only do crypto (never a mesh recv), so a prefetch-side
-    // prepare can share the pool with in-flight rounds without deadlock.
+    // workers only do crypto (never a mesh recv), so lanes sharing one pool
+    // cannot deadlock it while another lane's thread is blocked in a recv.
     ensure_pool().parallel_for(q, [&](size_t v, size_t) {
       if (!open_sealed_share_into<F>(sealer_, batch[v].client_id, me,
                                      batch[v].blob, prep.share(v),

@@ -15,9 +15,8 @@
 //   ./prio_client --servers $SERVERS $AFE --clients 40 --expect-clients 40
 //
 // Every server must be started with the same --servers list, --master-seed,
-// --afe, --epoch-size, --batch, --epochs, --shards, and --pipeline-depth
-// (--afe agreement is enforced at mesh sync; the rest fail loudly
-// in-protocol). --len N is
+// --afe, --epoch-size, --batch, --epochs, and --shards (--afe agreement is
+// enforced at mesh sync; the rest fail loudly in-protocol). --len N is
 // deprecated sugar for --afe bitvec_sum:len=N. Exit code 0 means all
 // epochs completed (and, on server 0, were published).
 //
@@ -109,7 +108,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
       static_cast<int>(flags.num("announce-wait-ms", 60'000));
   opts.linger_ms = static_cast<int>(flags.num("linger-ms", 50));
   opts.afe_spec = spec.canonical();
-  opts.pipeline_depth = common.pipeline_depth;
 
   // Observability (src/obs/): the registry is always attached -- hot-path
   // recording is a relaxed atomic per event (bench_hotpath holds the
@@ -169,7 +167,7 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
       static_cast<int>(flags.num("mesh-timeout-ms", 30'000)),
       static_cast<int>(
           flags.num("recv-timeout-ms", opts.announce_wait_ms + 60'000)),
-      server::mesh_lane_count(common));
+      shards);
   // A crashed peer needs time to restart and redial before a surviving
   // server gives up on re-establishing the mesh.
   mesh.set_reestablish_timeout_ms(
@@ -186,17 +184,10 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   using Router = server::ServerRouter<F, Afe>;
   Router router(&afe, &mesh, &client_listener, opts);
   std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-  std::vector<std::unique_ptr<net::LaneTransport>> ctrl_lanes;
   std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes;
   std::vector<std::unique_ptr<typename Router::Shard>> shard_runtimes;
   for (size_t l = 0; l < shards; ++l) {
     lanes.push_back(std::make_unique<net::LaneTransport>(&mesh, l));
-    // Pipelining moves announcements/close markers to a control lane so
-    // the prefetcher reads ahead of in-flight round frames.
-    if (opts.pipeline_depth >= 2) {
-      ctrl_lanes.push_back(
-          std::make_unique<net::LaneTransport>(&mesh, shards + l));
-    }
     ServerNodeConfig cfg = base_cfg;
     cfg.lane = l;
     cfg.shared_pool = &pool;
@@ -204,8 +195,7 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
         std::make_unique<ServerNode<F, Afe>>(&afe, cfg, lanes.back().get()));
     shard_runtimes.push_back(std::make_unique<typename Router::Shard>(
         nodes.back().get(), lanes.back().get(), &router, opts, shards,
-        stores[l].get(),
-        opts.pipeline_depth >= 2 ? ctrl_lanes.back().get() : nullptr));
+        stores[l].get()));
     if (stores[l]) {
       auto rec = store::recover_node<F, Afe>(nodes.back().get(), &afe,
                                              stores[l].get(),
@@ -248,7 +238,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
              ", \"shards\": " + std::to_string(shards) +
              ", \"epochs\": " + std::to_string(opts.epochs) +
              ", \"epoch_size\": " + std::to_string(opts.epoch_size) +
-             ", \"pipeline_depth\": " + std::to_string(opts.pipeline_depth) +
              "},\n  \"shards\": [";
       for (size_t l = 0; l < shards; ++l) {
         const std::string lab = obs::label_kv("shard", l);

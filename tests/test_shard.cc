@@ -66,11 +66,10 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
 // ---------------------------------------------------------------------------
 
 // One server process' worth of sharded runtime: base transport, router,
-// and a node + shard runtime per lane -- the same wiring prio_server.cc
-// does, minus sockets and stores. With opts.pipeline_depth >= 2 the mesh
-// must carry 2 * nshards lanes; the upper half become the per-lane control
-// lanes, exactly as prio_server.cc wires them. base_override lets a test
-// interpose a wrapper transport (slow or flaky links).
+// one verification pool shared by every lane, and a node + shard runtime
+// per lane -- the same wiring prio_server.cc does, minus sockets and
+// stores. base_override lets a test interpose a wrapper transport (slow or
+// flaky links).
 template <typename A>
 struct ShardedServerFor {
   using Node = ServerNode<F, A>;
@@ -82,24 +81,20 @@ struct ShardedServerFor {
                    size_t batch_threads = 1)
       : base(&mesh, self),
         router(&afe, base_override ? base_override : &base,
-               /*client_listener=*/nullptr, opts) {
+               /*client_listener=*/nullptr, opts),
+        pool(batch_threads) {
     net::Transport* bt = base_override ? base_override : &base;
-    const bool pipelined = opts.pipeline_depth >= 2;
     for (size_t l = 0; l < nshards; ++l) {
       lanes.push_back(std::make_unique<net::LaneTransport>(bt, l));
-      if (pipelined) {
-        ctrls.push_back(std::make_unique<net::LaneTransport>(bt, nshards + l));
-      }
       ServerNodeConfig cfg;
       cfg.num_servers = mesh.num_nodes();
       cfg.self = self;
       cfg.master_seed = kMasterSeed;
       cfg.lane = l;
-      cfg.batch_threads = batch_threads;
+      cfg.shared_pool = &pool;
       nodes.push_back(std::make_unique<Node>(&afe, cfg, lanes.back().get()));
       shards.push_back(std::make_unique<typename Router::Shard>(
-          nodes.back().get(), lanes.back().get(), &router, opts, nshards,
-          /*store=*/nullptr, pipelined ? ctrls.back().get() : nullptr));
+          nodes.back().get(), lanes.back().get(), &router, opts, nshards));
       router.add_shard(shards.back().get());
     }
     router.finish_setup();
@@ -114,8 +109,8 @@ struct ShardedServerFor {
 
   net::LoopbackTransport base;
   Router router;
+  ThreadPool pool;
   std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-  std::vector<std::unique_ptr<net::LaneTransport>> ctrls;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<std::unique_ptr<typename Router::Shard>> shards;
 };
@@ -432,81 +427,14 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
   EXPECT_GE(regs[2]->total("prio_reject_spec_mismatch_total"), 1u);
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined runtime (--pipeline-depth 2)
-// ---------------------------------------------------------------------------
-
-// Depth 2 must not change a single verdict or aggregate bit: the same
-// two-lane workload (including a replay) through a pipelined cluster --
-// announcements on the control lanes, a prefetch thread per lane -- still
-// matches the simulated single-pipeline deployment exactly.
-TEST(PipelinedShardTest, DepthTwoMatchesSimnetAndRejectReplay) {
-  Afe afe(8);
-  constexpr size_t kShards = 2;
-  auto w = make_workload(afe, 24);
-
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = kMasterSeed;
-  PrioDeployment<F, Afe> sim(&afe, sim_opts);
-  sim.process_batch(std::span<const Submission>(w.subs));
-  auto sim_result = sim.publish();
-
-  server::RuntimeOptions opts;
-  opts.epoch_size = w.subs.size() + 1;  // +1: the replayed submission
-  opts.max_batch = 8;
-  opts.epochs = 1;
-  opts.announce_wait_ms = 20'000;
-  opts.assemble_wait_ms = 5'000;
-  opts.linger_ms = 25;
-  opts.pipeline_depth = 2;
-
-  // Twice the lanes: the upper kShards are the control lanes.
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, 2 * kShards);
-  std::vector<std::unique_ptr<ShardedServer>> servers;
-  for (size_t i = 0; i < kServers; ++i) {
-    servers.push_back(
-        std::make_unique<ShardedServer>(afe, mesh, i, kShards, opts));
-  }
-
-  const u64 replay_cid = 1;
-  for (size_t i = 0; i < kServers; ++i) {
-    for (const auto& sub : w.subs) {
-      servers[i]->submit(sub.client_id, blob_seq(sub.blobs[i]),
-                         sub.blobs[i]);
-    }
-    servers[i]->submit(replay_cid, blob_seq(w.subs[replay_cid].blobs[i]) + 1,
-                       w.subs[replay_cid].blobs[i]);
-  }
-
-  std::optional<Node::EpochAggregate> agg;
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kServers; ++i) {
-    threads.emplace_back([&, i] {
-      auto a = servers[i]->router.run_epochs();
-      if (i == 0) agg = std::move(a);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, sim.accepted());
-  EXPECT_EQ(agg->result, sim_result);
-  for (size_t i = 0; i < kServers; ++i) {
-    u64 processed = 0;
-    for (const auto& n : servers[i]->nodes) processed += n->processed();
-    EXPECT_EQ(processed, w.subs.size() + 1) << "server " << i;
-  }
-}
-
-// Delays every outbound frame of one peer, so the other servers' lane
-// threads spend most of the epoch blocked in mesh recvs while their
-// prefetch threads run parallel_for on the nodes' thread pools (real
-// workers, batch_threads=2). The epoch completing -- within the test
-// timeout, with the right aggregate -- is the regression gate: a pool
-// whose workers could end up waiting on a parked lane thread (or a
-// prefetcher serialized against a blocked recv) would deadlock here.
-TEST(PipelinedShardTest, SlowPeerDoesNotDeadlockPrefetchPool) {
+// Delays every outbound frame of one peer, so on the other servers one
+// lane thread is often blocked in a mesh recv while its sibling lane runs
+// parallel_for on the server's shared pool (real workers,
+// batch_threads=2). The epoch completing -- within the test timeout, with
+// the right aggregate -- is the regression gate: a pool whose workers
+// could end up waiting on a lane thread parked in a recv would deadlock
+// here.
+TEST(ShardedRouterTest, SlowPeerDoesNotDeadlockSharedPool) {
   // Wraps one node's mesh view, sleeping before every send.
   struct SlowTransport final : net::Transport {
     net::LoopbackTransport inner;
@@ -545,9 +473,8 @@ TEST(PipelinedShardTest, SlowPeerDoesNotDeadlockPrefetchPool) {
   opts.announce_wait_ms = 20'000;
   opts.assemble_wait_ms = 5'000;
   opts.linger_ms = 25;
-  opts.pipeline_depth = 2;
 
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, 2 * kShards);
+  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
   SlowTransport slow(&mesh, kServers - 1, /*delay_ms=*/3);
   std::vector<std::unique_ptr<ShardedServer>> servers;
   for (size_t i = 0; i < kServers; ++i) {
@@ -576,15 +503,16 @@ TEST(PipelinedShardTest, SlowPeerDoesNotDeadlockPrefetchPool) {
   EXPECT_EQ(agg->accepted, expected_accepted);
 }
 
-// Abort and retry at the node layer, the exact sequence the pipelined
-// shard runtime performs when a peer dies with a prefetched batch in
-// flight: a TransportError mid-rounds must roll a node back to its exact
-// pre-batch state (bit-identical snapshot), the PreparedBatch must survive
-// for the retry, and -- after the generation bump every repair performs --
-// the SAME prepared batch must verify successfully under fresh channel
-// keys (the bump is what makes the retried batch's AEAD nonces fresh; a
-// retry on the old generation would reuse (key, nonce) pairs).
-TEST(PipelinedShardTest, AbortRollsBackToPreBatchStateAndRetries) {
+// Abort and retry at the node layer, the sequence a shard lane goes
+// through when a peer dies mid-batch: a TransportError mid-rounds must
+// roll a node back to its exact pre-batch state (bit-identical snapshot),
+// and -- after the generation bump every repair's lane sync performs --
+// the SAME batch must verify successfully under fresh channel keys (the
+// bump is what makes the retried batch's AEAD nonces fresh; a retry on the
+// old generation would reuse (key, nonce) pairs). The lane re-runs the
+// whole process_batch on retry; this test keeps the PreparedBatch across
+// the abort to also pin that commit_or_rollback leaves it intact.
+TEST(ServerNodeAbortTest, AbortRollsBackToPreBatchStateAndRetries) {
   // Wraps the leader's mesh view; the Nth send of an armed attempt throws.
   struct FlakyTransport final : net::Transport {
     net::LoopbackTransport inner;
@@ -623,7 +551,7 @@ TEST(PipelinedShardTest, AbortRollsBackToPreBatchStateAndRetries) {
                           : links[i].get()));
   }
 
-  // Prepare once -- the prefetch product; it must survive the abort.
+  // Prepare once; the PreparedBatch must survive the abort.
   std::vector<std::vector<SubmissionShare>> views(kServers);
   std::vector<PreparedBatch<F>> preps(kServers);
   std::vector<std::vector<u8>> pre_snap(kServers);
