@@ -10,12 +10,16 @@
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
 //    including heap allocations per check via a counting allocator;
 //  * the end-to-end batched pipeline (process_batch) in subs/sec, over
-//    PrioDeployment lanes and over real ServerNode lanes on a loopback
-//    mesh, plus the metrics-overhead gate on the latter.
+//    PrioDeployment and over real ServerNode lanes on a loopback mesh;
+//  * the metrics-overhead gate on the node lanes, in process CPU-seconds
+//    per submission.
 //
 // Writes BENCH_hotpath.json (or --out <path>) so perf PRs accumulate a
 // recorded trajectory; --smoke shrinks the workload for CI.
 
+#include <time.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +62,13 @@ namespace {
 
 using F = Fp64;
 using Afe = afe::BitVectorSum<F>;
+
+// CPU time of every thread in this process, in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
 
 unsigned long long allocs_during(const std::function<void()>& fn) {
   const unsigned long long before = g_allocs.load(std::memory_order_relaxed);
@@ -240,154 +251,128 @@ int main(int argc, char** argv) {
     json.kv("pipeline_batch_ns_per_sub", 1e9 / batch_rate);
   }
 
-  // ---- sharded multi-lane pipeline ------------------------------------
-  // The compute model of the sharded server runtime (server/router.h): N
-  // independent lanes, each a single-threaded batch pipeline over its
-  // shard_of-split of the same submissions, running concurrently. The
-  // headline number is the best lane count on this host -- on >= 4 cores
-  // the 4-shard split should scale well past the single-lane rate.
-  {
-    double best_rate = 0;
-    size_t best_shards = 1;
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      std::vector<std::vector<Submission>> split(shards);
-      for (const auto& sub : subs) {
-        split[server::shard_of(sub.client_id, shards)].push_back(sub);
-      }
-      std::vector<std::unique_ptr<PrioDeployment<F, Afe>>> lanes;
-      for (size_t s = 0; s < shards; ++s) {
-        lanes.push_back(std::make_unique<PrioDeployment<F, Afe>>(
-            &afe, DeploymentOptions{.num_servers = kServers,
-                                    .batch_threads = 1}));
-      }
-      const double t = benchutil::time_seconds([&] {
-        std::vector<std::thread> threads;
-        threads.reserve(shards);
-        for (size_t s = 0; s < shards; ++s) {
-          threads.emplace_back([&, s] {
-            const auto& mine = split[s];
-            for (size_t off = 0; off < mine.size(); off += kBatch) {
-              const size_t q = std::min(kBatch, mine.size() - off);
-              lanes[s]->process_batch(
-                  std::span<const Submission>(mine.data() + off, q));
-            }
-          });
-        }
-        for (auto& th : threads) th.join();
-      }, 1);
-      u64 accepted = 0;
-      for (const auto& lane : lanes) accepted += lane->accepted();
-      require(accepted == kN, "bench: sharded pipeline rejected inputs");
-      const double rate = kN / t;
-      std::printf("pipeline sharded(%zu):    %6.0f subs/s   (%.2fx batch)\n",
-                  shards, rate, rate / batch_rate);
-      json.kv("pipeline_sharded" + std::to_string(shards) + "_subs_per_s",
-              rate);
-      if (rate > best_rate) {
-        best_rate = rate;
-        best_shards = shards;
-      }
-    }
-    json.kv("pipeline_sharded_subs_per_s", best_rate);
-    json.kv("shards", static_cast<unsigned long long>(best_shards));
-  }
-
   // ---- node runtime: real ServerNode lanes ----------------------------
   // The shard runtime's batch path (server/shard.h): every lane runs
   // ServerNode::process_batch -- decrypt + PRG-expand, then the four SNIP
   // rounds -- over a LoopbackMesh (protocol-faithful rounds, no sockets),
   // one thread per (lane, server), across 1/2/4 lanes.
+  struct NodeRun {
+    double subs_per_s = 0;
+    double cpu_us_per_sub = 0;  // process CPU time over the timed run
+  };
+  // Fresh nodes per run: the replay floor would reject a re-run of the
+  // same counters.
+  auto run_nodes = [&](size_t shards, obs::Registry* reg) {
+    std::vector<std::vector<Submission>> split(shards);
+    for (const auto& sub : subs) {
+      split[server::shard_of(sub.client_id, shards)].push_back(sub);
+    }
+    net::LoopbackMesh mesh(kServers, 60'000, shards);
+    std::vector<std::unique_ptr<net::LoopbackTransport>> bases;
+    for (size_t i = 0; i < kServers; ++i) {
+      bases.push_back(std::make_unique<net::LoopbackTransport>(&mesh, i));
+    }
+    std::vector<std::unique_ptr<net::LaneTransport>> lane_views;
+    std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes;
+    for (size_t l = 0; l < shards; ++l) {
+      for (size_t i = 0; i < kServers; ++i) {
+        lane_views.push_back(
+            std::make_unique<net::LaneTransport>(bases[i].get(), l));
+        ServerNodeConfig cfg;
+        cfg.num_servers = kServers;
+        cfg.self = i;
+        cfg.lane = l;
+        cfg.batch_threads = 1;
+        cfg.metrics = reg;
+        nodes.push_back(std::make_unique<ServerNode<F, Afe>>(
+            &afe, cfg, lane_views.back().get()));
+      }
+    }
+    const double cpu0 = process_cpu_seconds();
+    const double t = benchutil::time_seconds([&] {
+      std::vector<std::thread> threads;
+      threads.reserve(shards * kServers);
+      for (size_t l = 0; l < shards; ++l) {
+        for (size_t i = 0; i < kServers; ++i) {
+          ServerNode<F, Afe>* node = nodes[l * kServers + i].get();
+          const std::vector<Submission>* mine = &split[l];
+          threads.emplace_back([node, mine, kBatch] {
+            for (size_t off = 0; off < mine->size(); off += kBatch) {
+              const size_t q = std::min(kBatch, mine->size() - off);
+              node->process_batch(node_view(
+                  std::span<const Submission>(mine->data() + off, q),
+                  node->self()));
+            }
+          });
+        }
+      }
+      for (auto& th : threads) th.join();
+    }, 1);
+    const double cpu = process_cpu_seconds() - cpu0;
+    u64 accepted = 0;
+    for (size_t l = 0; l < shards; ++l) {
+      accepted += nodes[l * kServers]->accepted();
+    }
+    require(accepted == kN, "bench: node runtime rejected inputs");
+    return NodeRun{kN / t, cpu / kN * 1e6};
+  };
   {
     double best = 0;
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      std::vector<std::vector<Submission>> split(shards);
-      for (const auto& sub : subs) {
-        split[server::shard_of(sub.client_id, shards)].push_back(sub);
-      }
-      // Fresh nodes per run (the replay floor would reject a re-run of
-      // the same counters); best of two runs per config damps scheduler
-      // noise, which dominates on small machines.
-      auto run_config = [&](obs::Registry* reg = nullptr) {
-        net::LoopbackMesh mesh(kServers, 60'000, shards);
-        std::vector<std::unique_ptr<net::LoopbackTransport>> bases;
-        for (size_t i = 0; i < kServers; ++i) {
-          bases.push_back(std::make_unique<net::LoopbackTransport>(&mesh, i));
-        }
-        std::vector<std::unique_ptr<net::LaneTransport>> lane_views;
-        std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes;
-        for (size_t l = 0; l < shards; ++l) {
-          for (size_t i = 0; i < kServers; ++i) {
-            lane_views.push_back(
-                std::make_unique<net::LaneTransport>(bases[i].get(), l));
-            ServerNodeConfig cfg;
-            cfg.num_servers = kServers;
-            cfg.self = i;
-            cfg.lane = l;
-            cfg.batch_threads = 1;
-            cfg.metrics = reg;
-            nodes.push_back(std::make_unique<ServerNode<F, Afe>>(
-                &afe, cfg, lane_views.back().get()));
-          }
-        }
-        const double t = benchutil::time_seconds([&] {
-          std::vector<std::thread> threads;
-          threads.reserve(shards * kServers);
-          for (size_t l = 0; l < shards; ++l) {
-            for (size_t i = 0; i < kServers; ++i) {
-              ServerNode<F, Afe>* node = nodes[l * kServers + i].get();
-              const std::vector<Submission>* mine = &split[l];
-              threads.emplace_back([node, mine, kBatch] {
-                for (size_t off = 0; off < mine->size(); off += kBatch) {
-                  const size_t q = std::min(kBatch, mine->size() - off);
-                  node->process_batch(node_view(
-                      std::span<const Submission>(mine->data() + off, q),
-                      node->self()));
-                }
-              });
-            }
-          }
-          for (auto& th : threads) th.join();
-        }, 1);
-        u64 accepted = 0;
-        for (size_t l = 0; l < shards; ++l) {
-          accepted += nodes[l * kServers]->accepted();
-        }
-        require(accepted == kN, "bench: node runtime rejected inputs");
-        return kN / t;
-      };
-      const double rate = std::max(run_config(), run_config());
+      // Best of two runs per config damps scheduler noise, which dominates
+      // on small machines.
+      const double rate = std::max(run_nodes(shards, nullptr).subs_per_s,
+                                   run_nodes(shards, nullptr).subs_per_s);
       std::printf("pipeline node d1 s%zu:     %6.0f subs/s   (%.2fx batch)\n",
                   shards, rate, rate / batch_rate);
       json.kv("pipeline_pipelined_d1_s" + std::to_string(shards) +
                   "_subs_per_s",
               rate);
       best = std::max(best, rate);
-
-      // ---- metrics overhead gate (src/obs/) ----------------------------
-      // Same two-lane run, uninstrumented vs with an attached
-      // obs::Registry (stage histograms + verdict counters recording).
-      // All node metrics fire per BATCH, not per submission, so the delta
-      // must stay under 2%; scheduler noise at these run lengths can
-      // exceed that, hence best-of-two per side and up to four attempts.
-      if (shards == 2) {
-        double overhead = 1.0, base_rate = 0.0, instr_rate = 0.0;
-        for (int att = 0; att < 4 && overhead >= 0.02; ++att) {
-          base_rate = std::max(run_config(), run_config());
-          obs::Registry reg;
-          instr_rate = std::max(run_config(&reg), run_config(&reg));
-          overhead =
-              base_rate > 0 ? (base_rate - instr_rate) / base_rate : 0.0;
-        }
-        std::printf("metrics overhead d1 s2:  off %6.0f subs/s   on %6.0f"
-                    " subs/s   (%+.2f%%)\n",
-                    base_rate, instr_rate, overhead * 100.0);
-        json.kv("metrics_off_subs_per_s", base_rate);
-        json.kv("metrics_on_subs_per_s", instr_rate);
-        json.kv("metrics_overhead_frac", overhead);
-        require(overhead < 0.02, "bench: metrics overhead exceeds 2%");
-      }
     }
     json.kv("pipeline_pipelined1_subs_per_s", best);
+  }
+
+  // ---- metrics overhead gate (src/obs/) --------------------------------
+  // The two-lane node run, uninstrumented vs with an attached
+  // obs::Registry (stage histograms + verdict counters recording). All
+  // node metrics fire per BATCH, not per submission, so the overhead must
+  // stay under 2%. It is gated on process CPU-seconds per submission, not
+  // on wall-clock rate: on a shared host the wall clock mostly measures
+  // how many cores the scheduler lent the run. Off and on runs come in
+  // pairs, alternating which goes first, and the gate is the median of the
+  // per-pair on/off ratios, so drift in the host's speed cancels within a
+  // pair. The pair counts hold the off-vs-off median inside +-1.5% on a
+  // 4-vCPU shared VM.
+  {
+    const int pairs = smoke ? 101 : 51;
+    std::vector<double> off, on, ratio;
+    for (int p = 0; p < pairs; ++p) {
+      obs::Registry reg;
+      if (p % 2) on.push_back(run_nodes(2, &reg).cpu_us_per_sub);
+      off.push_back(run_nodes(2, nullptr).cpu_us_per_sub);
+      if (p % 2 == 0) on.push_back(run_nodes(2, &reg).cpu_us_per_sub);
+      ratio.push_back(on.back() / off.back());
+    }
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double overhead = median(ratio) - 1.0;
+    const auto [off_min, off_max] = std::minmax_element(off.begin(), off.end());
+    const auto [on_min, on_max] = std::minmax_element(on.begin(), on.end());
+    std::printf("metrics overhead d1 s2:  off %6.2f us/sub   on %6.2f us/sub"
+                "   (%+.2f%% CPU, median of %d pairs)\n",
+                median(off), median(on), overhead * 100.0, pairs);
+    json.kv("metrics_pairs", static_cast<unsigned long long>(pairs));
+    json.kv("metrics_off_cpu_us_per_sub", median(off));
+    json.kv("metrics_off_cpu_us_per_sub_min", *off_min);
+    json.kv("metrics_off_cpu_us_per_sub_max", *off_max);
+    json.kv("metrics_on_cpu_us_per_sub", median(on));
+    json.kv("metrics_on_cpu_us_per_sub_min", *on_min);
+    json.kv("metrics_on_cpu_us_per_sub_max", *on_max);
+    json.kv("metrics_overhead_frac", overhead);
+    require(overhead < 0.02, "bench: metrics overhead exceeds 2%");
   }
 
   std::string payload = json.finish();

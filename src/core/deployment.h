@@ -9,20 +9,12 @@
 // rotating it spreads the extra traffic evenly and throughput stays flat as
 // servers are added -- Figure 5).
 //
-// Per-submission message flow (SNIP variant):
-//   round 1: every non-leader sends its (d_i, e_i) share to the leader
-//   round 2: the leader broadcasts the sums (d, e)
-//   round 3: every non-leader sends (sigma_i, out_i) to the leader
-//   round 4: the leader broadcasts the accept/reject bit
-// A non-leader therefore transmits a constant ~4 field elements per
-// submission regardless of submission length -- the flat Prio line of
-// Figure 6.
-//
-// process_batch amortizes the same protocol over Q submissions (Section 6 /
-// Appendix I): the secret point r and its Lagrange rows are reused across
-// the batch, per-server local work fans out over a thread pool, and each of
-// the four rounds ships one coalesced message (Q pairs / a Q-bit bitmap)
-// instead of Q messages.
+// Validation runs the four SNIP rounds of core/snip_rounds.h (described
+// there) for all s servers in lock-step (simulate_snip_rounds below).
+// process_batch amortizes them over Q submissions (Section 6 / Appendix I):
+// the secret point r and its Lagrange rows are reused across the batch,
+// per-server local work fans out over a thread pool, and each round ships
+// one coalesced message instead of Q.
 #pragma once
 
 #include <chrono>
@@ -32,12 +24,12 @@
 #include <unordered_map>
 
 #include "afe/afe.h"
+#include "core/snip_rounds.h"
 #include "core/submission.h"
 #include "crypto/rng.h"
 #include "net/channel.h"
 #include "net/simnet.h"
 #include "net/wire.h"
-#include "snip/snip.h"
 #include "util/thread_pool.h"
 
 namespace prio {
@@ -107,6 +99,68 @@ inline void framed_broadcast(net::SimNetwork& net, size_t num_servers,
   }
 }
 
+// Runs fn(task, worker) for every task in [0, n): on the pool, or inline
+// on the caller as worker 0 when there is none (the serial pipelines).
+template <typename Fn>
+void run_tasks(ThreadPool* pool, size_t n, Fn&& fn) {
+  if (pool) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (size_t task = 0; task < n; ++task) fn(task, size_t{0});
+  }
+}
+
+// Runs one batch's four SNIP rounds (core/snip_rounds.h) for all s
+// servers in lock-step and returns the leader's decision bitmap. checks[i]
+// is server i's round-1 input; ServerRange elements expose the server's
+// VerificationContext as `ctx`. Traffic is accounted on `net` only when
+// some submission is live: with nothing to verify, the simulated servers
+// send nothing. `coalesced` accounts the batch pipeline's length-prefixed
+// vectors (one message carrying ql logical ones); otherwise the serial
+// pipeline's bare fields of a batch of one.
+template <PrimeField F, typename ServerRange>
+std::vector<u8> simulate_snip_rounds(net::SimNetwork& net,
+                                     net::BusyClock& clocks,
+                                     const ServerRange& servers,
+                                     std::span<const SnipLocalChecks<F>> checks,
+                                     size_t leader, bool coalesced) {
+  const size_t s = checks.size();
+  std::vector<SnipRound1<F>> r1;
+  r1.reserve(s);
+  for (const auto& c : checks) r1.push_back(snip_round1(c));
+  const SnipRound2<F> r2 = snip_combine<F>(r1);
+  const size_t ql = r2.de.size();
+  if (ql == 0) return std::vector<u8>(r2.live.size(), 0);
+  const size_t pairs_len =
+      coalesced ? net::field_pairs_len<F>(ql) : 2 * F::kByteLen;
+  for (size_t i = 0; i < s; ++i) {
+    if (i != leader) framed_send(net, i, leader, pairs_len, ql);
+  }
+  net.end_round(ql);
+  framed_broadcast(net, s, leader, pairs_len, ql);
+  net.end_round(ql);
+
+  std::vector<SnipRound3<F>> r3;
+  r3.reserve(s);
+  for (size_t i = 0; i < s; ++i) {
+    auto scope = clocks.measure(i);
+    auto m = snip_round3(servers[i].ctx, checks[i], r2);
+    require(m.has_value(), "simulate_snip_rounds: server refused round 2");
+    r3.push_back(std::move(*m));
+    if (i != leader) framed_send(net, i, leader, pairs_len, ql);
+  }
+  net.end_round(ql);
+
+  SnipRound4 r4;
+  {
+    auto scope = clocks.measure(leader);
+    r4 = snip_decide<F>(r2, r3);
+  }
+  framed_broadcast(net, s, leader, coalesced ? net::bitmap_len(ql) : 1, ql);
+  net.end_round(ql);
+  return std::move(r4.accept);
+}
+
 template <PrimeField F, typename Afe>
 class PrioDeployment {
  public:
@@ -168,88 +222,10 @@ class PrioDeployment {
   // -------------------------------------------------------------------
   bool process_submission(u64 client_id,
                           const std::vector<std::vector<u8>>& blobs) {
-    require(blobs.size() == opts_.num_servers, "process_submission: blob count");
-    const size_t s = opts_.num_servers;
-    const size_t leader = static_cast<size_t>(client_id % s);
-
-    refresh_contexts_if_due(servers_, opts_.refresh_every, 1);
-
-    // Phase 1: every server decrypts, expands, and runs the local check.
-    // The decrypt/expand step writes into the engine's reusable landing
-    // buffer and the check runs allocation-free on the same scratch.
-    ensure_verifiers(1);
-    SnipVerifier<F>& ver = verifiers_[0];
-    std::vector<std::optional<SnipLocalState<F>>> states(s);
-    std::vector<std::vector<F>> x_shares(s);
-    u64 seq = 0;
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      if (!open_sealed_share_into<F>(sealer_, client_id, i, blobs[i],
-                                     ver.ext_buffer(),
-                                     i == 0 ? &seq : nullptr)) {
-        continue;  // malformed: server i will vote reject
-      }
-      states[i] = ver.local_check(servers_[i].ctx, i);
-      x_shares[i].assign(ver.ext_buffer().begin(),
-                         ver.ext_buffer().begin() + afe_->k_prime());
-    }
-
-    // Replayed submission counters are rejected up front, like malformed
-    // blobs: the servers never verify or re-aggregate them.
-    bool parse_ok = replay_.fresh(client_id, seq);
-    for (const auto& st : states) parse_ok = parse_ok && st.has_value();
-
-    bool accept = false;
-    if (parse_ok) {
-      // Round 1+2: (d, e) to the leader, sums broadcast back.
-      F d = F::zero(), e = F::zero();
-      for (size_t i = 0; i < s; ++i) {
-        net::Writer w;
-        w.field(states[i]->d_share);
-        w.field(states[i]->e_share);
-        if (i != leader) send(i, leader, w.data());
-        d += states[i]->d_share;
-        e += states[i]->e_share;
-      }
-      net_.end_round();
-      framed_broadcast(net_, s, leader, 2 * F::kByteLen);
-      net_.end_round();
-
-      // Round 3: sigma + output shares to the leader.
-      F sigma = F::zero(), out = F::zero();
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        F sig = snip_sigma_share(servers_[i].ctx, *states[i], d, e);
-        net::Writer w;
-        w.field(sig);
-        w.field(states[i]->out_combo);
-        if (i != leader) send(i, leader, w.data());
-        sigma += sig;
-        out += states[i]->out_combo;
-      }
-      net_.end_round();
-
-      // Round 4: decision broadcast.
-      {
-        auto scope = clocks_.measure(leader);
-        accept = snip_accept(sigma, out);
-      }
-      framed_broadcast(net_, s, leader, 1);
-      net_.end_round();
-    }
-
-    if (accept) {
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        for (size_t c = 0; c < afe_->k_prime(); ++c) {
-          servers_[i].accumulator[c] += x_shares[i][c];
-        }
-      }
-      replay_.accept(client_id, seq);
-      ++accepted_;
-    }
-    ++processed_;
-    return accept;
+    const Submission sub{client_id, blobs};
+    return verify_chunk(std::span<const Submission>(&sub, 1),
+                        static_cast<size_t>(client_id % opts_.num_servers),
+                        /*coalesced=*/false)[0] != 0;
   }
 
   // -------------------------------------------------------------------
@@ -263,126 +239,69 @@ class PrioDeployment {
   std::vector<u8> process_batch(std::span<const Submission> batch) {
     return process_in_refresh_chunks(
         batch, opts_.refresh_every,
-        [this](std::span<const Submission> chunk) {
-          return process_batch_chunk(chunk);
+        [this](std::span<const Submission> chunk) -> std::vector<u8> {
+          if (chunk.empty()) return {};
+          // One leader per batch; rotating it batch-to-batch spreads the
+          // relay traffic the way the serial path's per-client rotation
+          // does.
+          const u64 leader = batch_counter_++ % opts_.num_servers;
+          return verify_chunk(chunk, static_cast<size_t>(leader),
+                              /*coalesced=*/true);
         });
   }
 
  private:
-  // One refresh-window-sized chunk of a batch (all of it when the caller's
-  // batch fits inside refresh_every).
-  std::vector<u8> process_batch_chunk(std::span<const Submission> batch) {
+  // One refresh-window-sized chunk, with `leader` relaying its rounds. The
+  // serial path is a batch of one (coalesced = false): its local checks run
+  // inline on the caller and a replayed counter is rejected before round 1,
+  // like a malformed blob. A coalesced batch runs its local checks on the
+  // pool and applies the replay floor after round 4, in submission order.
+  std::vector<u8> verify_chunk(std::span<const Submission> batch,
+                               size_t leader, bool coalesced) {
     const size_t q_total = batch.size();
-    std::vector<u8> verdicts(q_total, 0);
-    if (q_total == 0) return verdicts;
     const size_t s = opts_.num_servers;
     for (const auto& sub : batch) {
-      require(sub.blobs.size() == s, "process_batch: blob count");
+      require(sub.blobs.size() == s, "PrioDeployment: blob count");
     }
     const size_t kp = afe_->k_prime();
-    // One leader per batch; rotating it batch-to-batch spreads the relay
-    // traffic the way the serial path's per-client rotation does.
-    const size_t leader = static_cast<size_t>(batch_counter_++ % s);
-
     refresh_contexts_if_due(servers_, opts_.refresh_every, q_total);
-    ThreadPool& pool = ensure_pool();
-    ensure_verifiers(pool.size());
+    ThreadPool* pool = coalesced ? &ensure_pool() : nullptr;
+    ensure_verifiers(pool ? pool->size() : 1);
 
-    // Phase 1 (pooled): decrypt + expand + SNIP local check per
-    // (submission, server) pair. Task (q, i) writes only slot q*s+i. Each
-    // worker owns one SnipVerifier: share expansion lands in its buffer
-    // and the check itself performs no heap allocations; the only
-    // per-task write outside scratch is the x-share slice kept for
-    // aggregation, copied into one flat batch-sized buffer.
-    std::vector<std::optional<SnipLocalState<F>>> states(q_total * s);
+    // Decrypt + expand + SNIP local check per (submission, server) pair.
+    // Task (q, i) writes only slot q of server i's checks and row q*s+i of
+    // the x-shares. Each worker owns one SnipVerifier: share expansion
+    // lands in its buffer and the check itself performs no heap
+    // allocations; the only per-task write outside scratch is the x-share
+    // slice kept for aggregation.
+    std::vector<SnipLocalChecks<F>> checks(s, SnipLocalChecks<F>(q_total));
     std::vector<F> x_shares(q_total * s * kp, F::zero());
     std::vector<u64> seqs(q_total, 0);
-    pool.parallel_for(q_total * s, [&](size_t task, size_t worker) {
+    run_tasks(pool, q_total * s, [&](size_t task, size_t worker) {
       const size_t q = task / s, i = task % s;
       const auto t0 = std::chrono::steady_clock::now();
       SnipVerifier<F>& ver = verifiers_[worker];
       if (open_sealed_share_into<F>(sealer_, batch[q].client_id, i,
                                     batch[q].blobs[i], ver.ext_buffer(),
                                     i == 0 ? &seqs[q] : nullptr)) {
-        states[task] = ver.local_check(servers_[i].ctx, i);
+        checks[i].set(q, ver.local_check(servers_[i].ctx, i));
         std::copy(ver.ext_buffer().begin(), ver.ext_buffer().begin() + kp,
                   x_shares.begin() + task * kp);
       }
       clocks_.add_busy(i, net::BusyClock::us_since(t0));
     });
-
-    // Submissions every server could parse continue through the rounds; the
-    // rest are rejected here, as the serial path rejects before round 1.
-    std::vector<size_t> live;
-    live.reserve(q_total);
-    for (size_t q = 0; q < q_total; ++q) {
-      bool ok = true;
-      for (size_t i = 0; i < s; ++i) ok = ok && states[q * s + i].has_value();
-      if (ok) live.push_back(q);
+    if (!coalesced && !replay_.fresh(batch[0].client_id, seqs[0])) {
+      checks[0].parsed[0] = 0;
     }
 
-    if (!live.empty()) {
-      const size_t ql = live.size();
+    std::vector<u8> verdicts = simulate_snip_rounds<F>(
+        net_, clocks_, servers_, std::span<const SnipLocalChecks<F>>(checks),
+        leader, coalesced);
 
-      // Rounds 1+2 (coalesced): every non-leader ships its Q (d, e) pairs
-      // in one message; the leader broadcasts the Q sums back.
-      const size_t pairs_msg_len = net::field_pairs_len<F>(ql);
-      std::vector<F> d_total(ql, F::zero()), e_total(ql, F::zero());
-      for (size_t i = 0; i < s; ++i) {
-        for (size_t v = 0; v < ql; ++v) {
-          const auto& st = *states[live[v] * s + i];
-          d_total[v] += st.d_share;
-          e_total[v] += st.e_share;
-        }
-        if (i != leader) framed_send(net_, i, leader, pairs_msg_len, ql);
-      }
-      net_.end_round(ql);
-      framed_broadcast(net_, s, leader, pairs_msg_len, ql);
-      net_.end_round(ql);
-
-      // Round 3 (pooled compute, coalesced send): sigma + output shares.
-      std::vector<F> sigma_shares(ql * s), out_shares(ql * s);
-      pool.parallel_for(ql * s, [&](size_t task, size_t) {
-        const size_t v = task / s, i = task % s;
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto& st = *states[live[v] * s + i];
-        sigma_shares[task] =
-            snip_sigma_share(servers_[i].ctx, st, d_total[v], e_total[v]);
-        out_shares[task] = st.out_combo;
-        clocks_.add_busy(i, net::BusyClock::us_since(t0));
-      });
-      for (size_t i = 0; i < s; ++i) {
-        if (i != leader) framed_send(net_, i, leader, pairs_msg_len, ql);
-      }
-      net_.end_round(ql);
-
-      // Round 4: the leader decides all Q and broadcasts a packed bitmap.
-      std::vector<u8> decisions(ql, 0);
-      {
-        auto scope = clocks_.measure(leader);
-        for (size_t v = 0; v < ql; ++v) {
-          F sigma = F::zero(), out = F::zero();
-          for (size_t i = 0; i < s; ++i) {
-            sigma += sigma_shares[v * s + i];
-            out += out_shares[v * s + i];
-          }
-          decisions[v] = snip_accept(sigma, out) ? 1 : 0;
-        }
-      }
-      framed_broadcast(net_, s, leader, net::bitmap_len(ql), ql);
-      net_.end_round(ql);
-
-      for (size_t v = 0; v < ql; ++v) verdicts[live[v]] = decisions[v];
-    }
-
-    // Aggregation (pooled): accepted x-shares accumulate into per-worker
-    // accumulators, merged at batch end -- no cross-thread writes to the
-    // server accumulators.
-    // The replay floor is applied in submission order, exactly as the
-    // serial path would: a replayed counter flips the verdict to reject
-    // and is never aggregated; only accepted submissions advance it.
+    // The replay floor, in submission order: a replayed counter flips the
+    // verdict to reject and is never aggregated; only accepted submissions
+    // advance it. Then every server adds its accepted x-shares.
     std::vector<size_t> accepted_subs;
-    accepted_subs.reserve(q_total);
     for (size_t q = 0; q < q_total; ++q) {
       if (!verdicts[q]) continue;
       if (!replay_.fresh(batch[q].client_id, seqs[q])) {
@@ -392,32 +311,15 @@ class PrioDeployment {
       replay_.accept(batch[q].client_id, seqs[q]);
       accepted_subs.push_back(q);
     }
-    if (!accepted_subs.empty()) {
-      const size_t workers = pool.size();
-      std::vector<std::vector<F>> acc(workers,
-                                      std::vector<F>(s * kp, F::zero()));
-      pool.parallel_for(accepted_subs.size(), [&](size_t task, size_t worker) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const size_t q = accepted_subs[task];
-        std::vector<F>& a = acc[worker];
-        for (size_t i = 0; i < s; ++i) {
-          kernels::vec_add_inplace<F>(
-              std::span<F>(a.data() + i * kp, kp),
-              std::span<const F>(x_shares.data() + (q * s + i) * kp, kp));
-        }
-        // One task does every server's share of the work; split the time.
-        const double us = net::BusyClock::us_since(t0) / static_cast<double>(s);
-        for (size_t i = 0; i < s; ++i) clocks_.add_busy(i, us);
-      });
-      for (size_t w = 0; w < workers; ++w) {
-        for (size_t i = 0; i < s; ++i) {
-          kernels::vec_add_inplace<F>(
-              std::span<F>(servers_[i].accumulator),
-              std::span<const F>(acc[w].data() + i * kp, kp));
-        }
+    for (size_t i = 0; i < s; ++i) {
+      auto scope = clocks_.measure(i);
+      for (size_t q : accepted_subs) {
+        kernels::vec_add_inplace<F>(
+            std::span<F>(servers_[i].accumulator),
+            std::span<const F>(x_shares.data() + (q * s + i) * kp, kp));
       }
-      accepted_ += accepted_subs.size();
     }
+    accepted_ += accepted_subs.size();
     processed_ += q_total;
     return verdicts;
   }
@@ -430,9 +332,7 @@ class PrioDeployment {
     std::vector<F> sigma(afe_->k_prime(), F::zero());
     for (size_t i = 0; i < opts_.num_servers; ++i) {
       if (i != 0) {
-        net::Writer w;
-        w.field_vector<F>(std::span<const F>(servers_[i].accumulator));
-        send(i, 0, w.data());
+        framed_send(net_, i, 0, 4 + afe_->k_prime() * F::kByteLen);
       }
       for (size_t c = 0; c < afe_->k_prime(); ++c) {
         sigma[c] += servers_[i].accumulator[c];
@@ -495,14 +395,6 @@ class PrioDeployment {
     while (verifiers_.size() < count) {
       verifiers_.emplace_back(&afe_->valid_circuit());
     }
-  }
-
-  void send(size_t from, size_t to, std::span<const u8> payload) {
-    // Server-to-server traffic is TLS in the paper; we count the payload
-    // plus AEAD framing overhead.
-    std::vector<u8> framed(payload.begin(), payload.end());
-    framed.resize(framed.size() + net::SecureChannel::kOverhead);
-    net_.send(from, to, std::move(framed));
   }
 
   const Afe* afe_;

@@ -69,118 +69,10 @@ class PrioMpcDeployment {
 
   bool process_submission(u64 client_id,
                           const std::vector<std::vector<u8>>& blobs) {
-    const size_t s = opts_.num_servers;
-    const size_t leader = static_cast<size_t>(client_id % s);
-    const size_t k = afe_->k();
-    const size_t m = afe_->valid_circuit().num_mul_gates();
-    const size_t flat_len = k + triple_prover_.layout().total_len();
-
-    refresh_contexts_if_due(servers_, opts_.refresh_every, 1);
-
-    // Phase 0: decrypt + expand. Replayed submission counters are
-    // rejected up front, like malformed blobs.
-    std::vector<std::vector<F>> flat(s);
-    u64 seq = 0;
-    bool parse_ok = true;
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      auto share = open_sealed_share<F>(sealer_, client_id, i, blobs[i],
-                                        flat_len, i == 0 ? &seq : nullptr);
-      if (!share) {
-        parse_ok = false;
-        continue;
-      }
-      flat[i] = std::move(*share);
-    }
-    ++processed_;
-    if (!parse_ok || !replay_.fresh(client_id, seq)) return false;
-
-    // Phase 1: SNIP over the triples (same rounds as the SNIP pipeline),
-    // run through the allocation-free engine scratch.
-    ensure_verifiers(1);
-    F d = F::zero(), e = F::zero();
-    std::vector<SnipLocalState<F>> states;
-    states.reserve(s);
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      states.push_back(verifiers_[0].local_check(
-          servers_[i].ctx, i,
-          std::span<const F>(flat[i].data() + k, flat_len - k)));
-      d += states.back().d_share;
-      e += states.back().e_share;
-      if (i != leader) send(i, leader, 2 * F::kByteLen);
-    }
-    net_.end_round();
-    framed_broadcast(net_, s, leader, 2 * F::kByteLen);
-    net_.end_round();
-    F sigma = F::zero(), out = F::zero();
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      sigma += snip_sigma_share(servers_[i].ctx, states[i], d, e);
-      out += states[i].out_combo;
-      if (i != leader) send(i, leader, 2 * F::kByteLen);
-    }
-    net_.end_round();
-    framed_broadcast(net_, s, leader, 1);
-    net_.end_round();
-    if (!snip_accept(sigma, out)) return false;
-
-    // Phase 2: Beaver-MPC evaluation of Valid on the x shares.
-    std::vector<BeaverMpcSession<F>> sessions;
-    sessions.reserve(s);
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      sessions.emplace_back(&afe_->valid_circuit(), s, i,
-                            std::span<const F>(flat[i].data(), k),
-                            std::span<const F>(flat[i].data() + k, 3 * m));
-    }
-    while (!sessions[0].done()) {
-      std::vector<std::pair<F, F>> totals;
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        auto msgs = sessions[i].round_messages();
-        if (totals.empty()) totals.assign(msgs.size(), {F::zero(), F::zero()});
-        for (size_t j = 0; j < msgs.size(); ++j) {
-          totals[j].first += msgs[j].first;
-          totals[j].second += msgs[j].second;
-        }
-        if (i != leader) send(i, leader, msgs.size() * 2 * F::kByteLen);
-      }
-      net_.end_round();
-      framed_broadcast(net_, s, leader, totals.size() * 2 * F::kByteLen);
-      net_.end_round();
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        sessions[i].resolve_round(totals);
-      }
-    }
-
-    // Output check: every output wire must sum to zero.
-    const size_t n_out = afe_->valid_circuit().outputs().size();
-    std::vector<F> outs(n_out, F::zero());
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      auto o = sessions[i].output_shares();
-      for (size_t j = 0; j < n_out; ++j) outs[j] += o[j];
-      if (i != leader) send(i, leader, n_out * F::kByteLen);
-    }
-    net_.end_round();
-    framed_broadcast(net_, s, leader, 1);
-    net_.end_round();
-    bool accept = true;
-    for (const auto& o : outs) accept = accept && o.is_zero();
-
-    if (accept) {
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        for (size_t c = 0; c < afe_->k_prime(); ++c) {
-          servers_[i].accumulator[c] += flat[i][c];
-        }
-      }
-      replay_.accept(client_id, seq);
-      ++accepted_;
-    }
-    return accept;
+    const Submission sub{client_id, blobs};
+    return verify_chunk(std::span<const Submission>(&sub, 1),
+                        static_cast<size_t>(client_id % opts_.num_servers),
+                        /*coalesced=*/false)[0] != 0;
   }
 
   // Batched Prio-MPC pipeline: thread-pooled local work, coalesced rounds,
@@ -189,37 +81,47 @@ class PrioMpcDeployment {
   std::vector<u8> process_batch(std::span<const Submission> batch) {
     return process_in_refresh_chunks(
         batch, opts_.refresh_every,
-        [this](std::span<const Submission> chunk) {
-          return process_batch_chunk(chunk);
+        [this](std::span<const Submission> chunk) -> std::vector<u8> {
+          if (chunk.empty()) return {};
+          const u64 leader = batch_counter_++ % opts_.num_servers;
+          return verify_chunk(chunk, static_cast<size_t>(leader),
+                              /*coalesced=*/true);
         });
   }
 
  private:
-  std::vector<u8> process_batch_chunk(std::span<const Submission> batch) {
+  // One refresh-window-sized chunk, with `leader` relaying its rounds; the
+  // serial path is a batch of one (coalesced = false), as in
+  // PrioDeployment::verify_chunk.
+  std::vector<u8> verify_chunk(std::span<const Submission> batch,
+                               size_t leader, bool coalesced) {
     const size_t q_total = batch.size();
     std::vector<u8> verdicts(q_total, 0);
-    if (q_total == 0) return verdicts;
     const size_t s = opts_.num_servers;
     for (const auto& sub : batch) {
-      require(sub.blobs.size() == s, "process_batch: blob count");
+      require(sub.blobs.size() == s, "PrioMpcDeployment: blob count");
     }
     const size_t k = afe_->k();
     const size_t m = afe_->valid_circuit().num_mul_gates();
     const size_t flat_len = k + triple_prover_.layout().total_len();
     const size_t kp = afe_->k_prime();
-    const size_t leader = static_cast<size_t>(batch_counter_++ % s);
     refresh_contexts_if_due(servers_, opts_.refresh_every, q_total);
-    ThreadPool& pool = ensure_pool();
-    ensure_verifiers(pool.size());
+    ThreadPool* pool = coalesced ? &ensure_pool() : nullptr;
+    ensure_verifiers(pool ? pool->size() : 1);
+    // Round payloads: the batch ships length-prefixed vectors, the serial
+    // path's batch of one bare fields.
+    const auto pairs_len = [&](size_t n) {
+      return coalesced ? net::field_pairs_len<F>(n) : n * 2 * F::kByteLen;
+    };
 
-    // Phase 0 (pooled): decrypt + expand + triple-SNIP local check. The
-    // flat share vector outlives this phase (the Beaver MPC and the
-    // aggregation read it), so it is still materialized per (q, i); the
-    // local check itself runs on each worker's reusable engine scratch.
+    // Phase 0: decrypt + expand + triple-SNIP local check. The flat share
+    // vector outlives this phase (the Beaver MPC and the aggregation read
+    // it), so it is materialized per (q, i); the local check itself runs
+    // on each worker's reusable engine scratch.
     std::vector<std::vector<F>> flat(q_total * s);
-    std::vector<std::optional<SnipLocalState<F>>> states(q_total * s);
+    std::vector<SnipLocalChecks<F>> checks(s, SnipLocalChecks<F>(q_total));
     std::vector<u64> seqs(q_total, 0);
-    pool.parallel_for(q_total * s, [&](size_t task, size_t worker) {
+    run_tasks(pool, q_total * s, [&](size_t task, size_t worker) {
       const size_t q = task / s, i = task % s;
       const auto t0 = std::chrono::steady_clock::now();
       auto share = open_sealed_share<F>(sealer_, batch[q].client_id, i,
@@ -227,74 +129,35 @@ class PrioMpcDeployment {
                                         i == 0 ? &seqs[q] : nullptr);
       if (share) {
         flat[task] = std::move(*share);
-        states[task] = verifiers_[worker].local_check(
-            servers_[i].ctx, i,
-            std::span<const F>(flat[task].data() + k, flat_len - k));
+        checks[i].set(q, verifiers_[worker].local_check(
+                             servers_[i].ctx, i,
+                             std::span<const F>(flat[task].data() + k,
+                                                flat_len - k)));
       }
       clocks_.add_busy(i, net::BusyClock::us_since(t0));
     });
-
-    std::vector<size_t> live;
-    live.reserve(q_total);
-    for (size_t q = 0; q < q_total; ++q) {
-      bool ok = true;
-      for (size_t i = 0; i < s; ++i) ok = ok && states[q * s + i].has_value();
-      if (ok) live.push_back(q);
+    if (!coalesced && !replay_.fresh(batch[0].client_id, seqs[0])) {
+      checks[0].parsed[0] = 0;  // the serial path rejects replays up front
     }
     processed_ += q_total;
-    if (live.empty()) return verdicts;
-    const size_t ql = live.size();
 
-    // Triple-SNIP rounds 1-4, coalesced across the batch.
-    std::vector<F> d_total(ql, F::zero()), e_total(ql, F::zero());
-    for (size_t i = 0; i < s; ++i) {
-      for (size_t v = 0; v < ql; ++v) {
-        const auto& st = *states[live[v] * s + i];
-        d_total[v] += st.d_share;
-        e_total[v] += st.e_share;
-      }
-      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql), ql);
-    }
-    net_.end_round(ql);
-    framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ql), ql);
-    net_.end_round(ql);
-
-    std::vector<F> sigma_shares(ql * s), out_shares(ql * s);
-    pool.parallel_for(ql * s, [&](size_t task, size_t) {
-      const size_t v = task / s, i = task % s;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto& st = *states[live[v] * s + i];
-      sigma_shares[task] =
-          snip_sigma_share(servers_[i].ctx, st, d_total[v], e_total[v]);
-      out_shares[task] = st.out_combo;
-      clocks_.add_busy(i, net::BusyClock::us_since(t0));
-    });
-    for (size_t i = 0; i < s; ++i) {
-      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql), ql);
-    }
-    net_.end_round(ql);
-    framed_broadcast(net_, s, leader, net::bitmap_len(ql), ql);
-    net_.end_round(ql);
-
-    // Submissions whose triple SNIP verified advance to the Beaver MPC.
+    // Phase 1: the triple-SNIP rounds. Submissions whose triple SNIP
+    // verified advance to the Beaver MPC.
+    const std::vector<u8> snip_ok = simulate_snip_rounds<F>(
+        net_, clocks_, servers_, std::span<const SnipLocalChecks<F>>(checks),
+        leader, coalesced);
     std::vector<size_t> mpc_live;
-    mpc_live.reserve(ql);
-    for (size_t v = 0; v < ql; ++v) {
-      F sigma = F::zero(), out = F::zero();
-      for (size_t i = 0; i < s; ++i) {
-        sigma += sigma_shares[v * s + i];
-        out += out_shares[v * s + i];
-      }
-      if (snip_accept(sigma, out)) mpc_live.push_back(live[v]);
+    for (size_t q = 0; q < q_total; ++q) {
+      if (snip_ok[q]) mpc_live.push_back(q);
     }
     if (mpc_live.empty()) return verdicts;
     const size_t ml = mpc_live.size();
 
-    // Phase 2 (pooled, lock-step): one Beaver session per (submission,
-    // server); all sessions share the circuit, so their round schedules
-    // are identical and each depth level costs the batch one round-trip.
+    // Phase 2 (lock-step): one Beaver session per (submission, server);
+    // all sessions share the circuit, so their round schedules are
+    // identical and each depth level costs the batch one round-trip.
     std::vector<std::optional<BeaverMpcSession<F>>> sessions(ml * s);
-    pool.parallel_for(ml * s, [&](size_t task, size_t) {
+    run_tasks(pool, ml * s, [&](size_t task, size_t) {
       const size_t v = task / s, i = task % s;
       const auto t0 = std::chrono::steady_clock::now();
       const std::vector<F>& f = flat[mpc_live[v] * s + i];
@@ -306,7 +169,7 @@ class PrioMpcDeployment {
 
     while (!sessions[0]->done()) {
       std::vector<std::vector<std::pair<F, F>>> msgs(ml * s);
-      pool.parallel_for(ml * s, [&](size_t task, size_t) {
+      run_tasks(pool, ml * s, [&](size_t task, size_t) {
         const size_t i = task % s;
         const auto t0 = std::chrono::steady_clock::now();
         msgs[task] = sessions[task]->round_messages();
@@ -324,14 +187,12 @@ class PrioMpcDeployment {
         }
       }
       for (size_t i = 0; i < s; ++i) {
-        if (i != leader) {
-          framed_send(net_, i, leader, net::field_pairs_len<F>(ml * gates), ml);
-        }
+        if (i != leader) framed_send(net_, i, leader, pairs_len(ml * gates), ml);
       }
       net_.end_round(ml);
-      framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ml * gates), ml);
+      framed_broadcast(net_, s, leader, pairs_len(ml * gates), ml);
       net_.end_round(ml);
-      pool.parallel_for(ml * s, [&](size_t task, size_t) {
+      run_tasks(pool, ml * s, [&](size_t task, size_t) {
         const size_t v = task / s, i = task % s;
         const auto t0 = std::chrono::steady_clock::now();
         sessions[task]->resolve_round(totals[v]);
@@ -339,7 +200,8 @@ class PrioMpcDeployment {
       });
     }
 
-    // Output check + decision bitmap, one coalesced round.
+    // Output check + decision bitmap, one round: every output wire must
+    // sum to zero.
     const size_t n_out = afe_->valid_circuit().outputs().size();
     std::vector<u8> decisions(ml, 1);
     for (size_t v = 0; v < ml; ++v) {
@@ -356,52 +218,36 @@ class PrioMpcDeployment {
         }
       }
     }
+    const size_t outs_len = (coalesced ? 4 : 0) + ml * n_out * F::kByteLen;
     for (size_t i = 0; i < s; ++i) {
-      if (i != leader) {
-        framed_send(net_, i, leader, 4 + ml * n_out * F::kByteLen, ml);
-      }
+      if (i != leader) framed_send(net_, i, leader, outs_len, ml);
     }
     net_.end_round(ml);
-    framed_broadcast(net_, s, leader, net::bitmap_len(ml), ml);
+    framed_broadcast(net_, s, leader, coalesced ? net::bitmap_len(ml) : 1, ml);
     net_.end_round(ml);
 
-    // Aggregation: per-worker accumulators merged at batch end. The
-    // replay floor is applied in submission order, as the serial path
-    // would: replayed counters flip to reject, accepts advance the floor.
+    // The replay floor, in submission order: replayed counters flip to
+    // reject, accepts advance the floor. Then every server adds its
+    // accepted x-shares.
     std::vector<size_t> accepted_subs;
     for (size_t v = 0; v < ml; ++v) {
-      if (!decisions[v]) continue;
       const size_t q = mpc_live[v];
-      if (!replay_.fresh(batch[q].client_id, seqs[q])) continue;
+      if (!decisions[v] || !replay_.fresh(batch[q].client_id, seqs[q])) {
+        continue;
+      }
       replay_.accept(batch[q].client_id, seqs[q]);
       verdicts[q] = 1;
       accepted_subs.push_back(q);
     }
-    if (!accepted_subs.empty()) {
-      const size_t workers = pool.size();
-      std::vector<std::vector<F>> acc(workers,
-                                      std::vector<F>(s * kp, F::zero()));
-      pool.parallel_for(accepted_subs.size(), [&](size_t task, size_t worker) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const size_t q = accepted_subs[task];
-        std::vector<F>& a = acc[worker];
-        for (size_t i = 0; i < s; ++i) {
-          const std::vector<F>& f = flat[q * s + i];
-          for (size_t c = 0; c < kp; ++c) a[i * kp + c] += f[c];
-        }
-        // One task does every server's share of the work; split the time.
-        const double us = net::BusyClock::us_since(t0) / static_cast<double>(s);
-        for (size_t i = 0; i < s; ++i) clocks_.add_busy(i, us);
-      });
-      for (size_t w = 0; w < workers; ++w) {
-        for (size_t i = 0; i < s; ++i) {
-          for (size_t c = 0; c < kp; ++c) {
-            servers_[i].accumulator[c] += acc[w][i * kp + c];
-          }
-        }
+    for (size_t i = 0; i < s; ++i) {
+      auto scope = clocks_.measure(i);
+      for (size_t q : accepted_subs) {
+        kernels::vec_add_inplace<F>(
+            std::span<F>(servers_[i].accumulator),
+            std::span<const F>(flat[q * s + i].data(), kp));
       }
-      accepted_ += accepted_subs.size();
     }
+    accepted_ += accepted_subs.size();
     return verdicts;
   }
 

@@ -167,4 +167,21 @@ inline CommonConfig parse_common_config(const Flags& flags) {
   return cfg;
 }
 
+// A server's batch size and refresh window. Every batch is verified under
+// one secret point r (core/snip_rounds.h), and r may serve at most
+// --refresh-every submissions, so --batch must lie in [1, --refresh-every].
+struct BatchWindow {
+  size_t max_batch = 64;
+  size_t refresh_every = 1024;
+};
+
+inline BatchWindow parse_batch_window(const Flags& flags) {
+  BatchWindow w;
+  w.max_batch = flags.num("batch", w.max_batch);
+  w.refresh_every = flags.num("refresh-every", w.refresh_every);
+  require(w.max_batch >= 1 && w.max_batch <= w.refresh_every,
+          "--batch must be in [1, --refresh-every]");
+  return w;
+}
+
 }  // namespace prio::server

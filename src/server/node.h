@@ -10,15 +10,9 @@
 // per-batch keys, counter nonces riding on the link's in-order delivery),
 // standing in for the paper's TLS.
 //
-// Batch flow (leader rotates with the shared batch counter; `q` inputs,
-// `ql` of them parsed by every server):
-//   round 1: non-leader -> leader: parse bitmap(q) + q (d, e) pairs
-//   round 2: leader -> all: live bitmap(q) + ql (d, e) totals
-//   round 3: non-leader -> leader: ql (sigma, out) pairs
-//   round 4: leader -> all: decision bitmap(q)
-// After round 4 every node applies the replay floor and aggregates its own
-// x-shares in submission order, so all nodes return identical verdicts and
-// hold consistent epoch state with no further coordination.
+// Batches run the four SNIP rounds of core/snip_rounds.h (described
+// there), with the leader rotating with the shared batch counter; this node
+// seals, sends and receives the engine's messages.
 //
 // Epochs: process_batch accumulates; publish_epoch reveals the per-server
 // accumulators to server 0, which decodes and returns the aggregate, and
@@ -45,6 +39,7 @@
 #include <functional>
 #include <optional>
 
+#include "core/snip_rounds.h"
 #include "core/submission.h"
 #include "net/channel.h"
 #include "net/transport.h"
@@ -318,145 +313,53 @@ class ServerNode {
     // aggregation slice is the row prefix, so nothing is copied out.
     ThreadPool& pool = ensure_pool();
     ensure_verifiers(pool.size());
-    std::vector<std::optional<SnipLocalState<F>>> states(q);
-    const std::vector<u8>& parsed = prep.parsed;
+    SnipLocalChecks<F> checks(q);
     pool.parallel_for(q, [&](size_t v, size_t worker) {
-      if (!parsed[v]) return;
-      states[v] = verifiers_[worker].local_check(ctx_, me, prep.share(v));
+      if (prep.parsed[v]) {
+        checks.set(v, verifiers_[worker].local_check(ctx_, me, prep.share(v)));
+      }
     });
 
     std::string tag = "b";  // per-batch channel-key tag (gcc 12 dislikes
     tag += std::to_string(batch_no);  // operator+ chains here: PR 105651)
 
-    // Rounds 1+2: (d, e) pairs to the leader; live set + totals back. A
-    // submission is live iff every server parsed it, so the leader ANDs
-    // the parse bitmaps before summing.
-    std::vector<u8> live(q, 0);
-    std::vector<F> d_total, e_total;
+    // The engine's messages over the mesh. A frame the engine refuses is a
+    // TransportError, which commit_or_rollback turns into a rollback.
+    SnipRound2<F> r2;
     if (me == leader) {
-      live = parsed;
-      std::vector<F> d_all(q, F::zero()), e_all(q, F::zero());
-      for (size_t v = 0; v < q; ++v) {
-        if (parsed[v]) {
-          d_all[v] = states[v]->d_share;
-          e_all[v] = states[v]->e_share;
-        }
-      }
-      for (size_t j = 0; j < s; ++j) {
-        if (j == me) continue;
-        const auto body = recv_sealed(j, tag, kRound1);
-        net::Reader r(body);
-        auto peer_parsed = r.bitmap(q);
-        auto pairs = r.field_pairs<F>(q);
-        if (!r.ok() || !r.at_end() || peer_parsed.size() != q ||
-            pairs.size() != q) {
-          throw net::TransportError("round 1: malformed frame from peer");
-        }
-        for (size_t v = 0; v < q; ++v) {
-          live[v] = live[v] && peer_parsed[v];
-          d_all[v] += pairs[v].first;
-          e_all[v] += pairs[v].second;
-        }
-      }
-      transport_->end_round(q);
-      for (size_t v = 0; v < q; ++v) {
-        if (live[v]) {
-          d_total.push_back(d_all[v]);
-          e_total.push_back(e_all[v]);
-        }
-      }
-      net::Writer w;
-      w.bitmap(live);
-      w.field_pairs<F>(std::span<const std::pair<F, F>>(zip(d_total, e_total)));
-      broadcast_sealed(tag, kRound2, w.data(), d_total.size());
-      transport_->end_round(d_total.size());
+      r2 = snip_combine<F>(gather(
+          snip_round1(checks), tag, kRound1, q,
+          [q](auto body) { return decode_snip_round1<F>(body, q); },
+          "round 1: malformed frame from peer"));
+      broadcast_sealed(tag, kRound2, encode_snip_round(r2), r2.de.size());
     } else {
-      net::Writer w;
-      w.bitmap(parsed);
-      std::vector<std::pair<F, F>> pairs(q, {F::zero(), F::zero()});
-      for (size_t v = 0; v < q; ++v) {
-        if (parsed[v]) pairs[v] = {states[v]->d_share, states[v]->e_share};
-      }
-      w.field_pairs<F>(std::span<const std::pair<F, F>>(pairs));
-      send_sealed(leader, tag, kRound1, w.data(), q);
+      send_sealed(leader, tag, kRound1, encode_snip_round(snip_round1(checks)),
+                  q);
       transport_->end_round(q);
-
-      const auto body = recv_sealed(leader, tag, kRound2);
-      net::Reader r(body);
-      live = r.bitmap(q);
-      auto totals = r.field_pairs<F>(q);
-      size_t n_live = 0;
-      for (u8 b : live) n_live += b;
-      if (!r.ok() || !r.at_end() || live.size() != q ||
-          totals.size() != n_live) {
-        throw net::TransportError("round 2: malformed frame from leader");
-      }
-      for (auto& [d, e] : totals) {
-        d_total.push_back(d);
-        e_total.push_back(e);
-      }
-      transport_->end_round(n_live);
+      r2 = received(decode_snip_round2<F>(recv_sealed(leader, tag, kRound2), q),
+                    "round 2: malformed frame from leader");
     }
-    // A submission the leader marked live must have parsed here too --
-    // anything else means the leader equivocated.
-    std::vector<size_t> live_idx;
-    for (size_t v = 0; v < q; ++v) {
-      if (live[v]) {
-        if (!parsed[v]) {
-          throw net::TransportError("round 2: leader marked unparsed live");
-        }
-        live_idx.push_back(v);
-      }
-    }
-    const size_t ql = live_idx.size();
+    const size_t ql = r2.de.size();
+    transport_->end_round(ql);
 
-    // Round 3: sigma + output-combination shares for the live set.
-    std::vector<F> sigma_shares(ql), out_shares(ql);
-    pool.parallel_for(ql, [&](size_t v, size_t) {
-      const auto& st = *states[live_idx[v]];
-      sigma_shares[v] = snip_sigma_share(ctx_, st, d_total[v], e_total[v]);
-      out_shares[v] = st.out_combo;
-    });
-
-    std::vector<u8> decisions(q, 0);
+    SnipRound3<F> r3 = received(snip_round3(ctx_, checks, r2),
+                                "round 2: leader marked unparsed live");
+    SnipRound4 r4;
     if (me == leader) {
-      std::vector<F> sigma(sigma_shares), out(out_shares);
-      for (size_t j = 0; j < s; ++j) {
-        if (j == me) continue;
-        const auto body = recv_sealed(j, tag, kRound3);
-        net::Reader r(body);
-        auto pairs = r.field_pairs<F>(ql);
-        if (!r.ok() || !r.at_end() || pairs.size() != ql) {
-          throw net::TransportError("round 3: malformed frame from peer");
-        }
-        for (size_t v = 0; v < ql; ++v) {
-          sigma[v] += pairs[v].first;
-          out[v] += pairs[v].second;
-        }
-      }
-      transport_->end_round(ql);
-      for (size_t v = 0; v < ql; ++v) {
-        decisions[live_idx[v]] = snip_accept(sigma[v], out[v]) ? 1 : 0;
-      }
-      net::Writer w;
-      w.bitmap(decisions);
-      broadcast_sealed(tag, kRound4, w.data(), ql);
-      transport_->end_round(ql);
+      r4 = snip_decide<F>(r2, gather(
+          std::move(r3), tag, kRound3, ql,
+          [ql](auto body) { return decode_snip_round3<F>(body, ql); },
+          "round 3: malformed frame from peer"));
+      broadcast_sealed(tag, kRound4, encode_snip_round(r4), ql);
     } else {
-      net::Writer w;
-      w.field_pairs<F>(
-          std::span<const std::pair<F, F>>(zip(sigma_shares, out_shares)));
-      send_sealed(leader, tag, kRound3, w.data(), ql);
+      send_sealed(leader, tag, kRound3, encode_snip_round(r3), ql);
       transport_->end_round(ql);
-
-      const auto body = recv_sealed(leader, tag, kRound4);
-      net::Reader r(body);
-      decisions = r.bitmap(q);
-      if (!r.ok() || !r.at_end() || decisions.size() != q) {
-        throw net::TransportError("round 4: malformed frame from leader");
-      }
-      transport_->end_round(ql);
+      r4 = received(decode_snip_round4(recv_sealed(leader, tag, kRound4), q),
+                    "round 4: malformed frame from leader");
     }
+    transport_->end_round(ql);
+    const std::vector<u8>& live = r2.live;
+    const std::vector<u8>& decisions = r4.accept;
 
     // Replay floor + aggregation, in submission order -- deterministic, so
     // every node converges on the same verdicts and accumulator updates.
@@ -821,12 +724,26 @@ class ServerNode {
     return std::move(*pt);
   }
 
-  static std::vector<std::pair<F, F>> zip(const std::vector<F>& a,
-                                          const std::vector<F>& b) {
-    std::vector<std::pair<F, F>> out;
-    out.reserve(a.size());
-    for (size_t i = 0; i < a.size(); ++i) out.emplace_back(a[i], b[i]);
-    return out;
+  // An engine message, or the TransportError that rolls the batch back.
+  template <typename Msg>
+  static Msg received(std::optional<Msg> m, const char* what) {
+    if (!m) throw net::TransportError(what);
+    return std::move(*m);
+  }
+
+  // Leader: its own message plus one decoded from every peer, in server
+  // order, then the end of the round.
+  template <typename Msg, typename Decode>
+  std::vector<Msg> gather(Msg own, const std::string& tag, u8 type,
+                          u64 logical, Decode decode, const char* malformed) {
+    std::vector<Msg> all(cfg_.num_servers);
+    for (size_t j = 0; j < all.size(); ++j) {
+      all[j] = j == cfg_.self
+                   ? std::move(own)
+                   : received(decode(recv_sealed(j, tag, type)), malformed);
+    }
+    transport_->end_round(logical);
+    return all;
   }
 
   ThreadPool& ensure_pool() {

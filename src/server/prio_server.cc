@@ -17,8 +17,10 @@
 // Every server must be started with the same --servers list, --master-seed,
 // --afe, --epoch-size, --batch, --epochs, and --shards (--afe agreement is
 // enforced at mesh sync; the rest fail loudly in-protocol). --len N is
-// deprecated sugar for --afe bitvec_sum:len=N. Exit code 0 means all
-// epochs completed (and, on server 0, were published).
+// deprecated sugar for --afe bitvec_sum:len=N. --batch must lie in
+// [1, --refresh-every] (server/cli.h), or the server refuses to start.
+// Exit code 0 means all epochs completed (and, on server 0, were
+// published).
 //
 // Sharding (--shards N, default 1): the runtime splits into N ShardRuntimes
 // behind a ServerRouter (server/router.h) -- client ids are hashed to a
@@ -93,16 +95,17 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
                  spec.c_str());
   }
 
+  const server::BatchWindow window = server::parse_batch_window(flags);
   ServerNodeConfig base_cfg;
   base_cfg.num_servers = endpoints.size();
   base_cfg.self = id;
   base_cfg.master_seed = common.master_seed;
-  base_cfg.refresh_every = flags.num("refresh-every", 1024);
+  base_cfg.refresh_every = window.refresh_every;
   base_cfg.batch_threads = flags.num("threads", 1);
 
   server::RuntimeOptions opts;
   opts.epoch_size = flags.num("epoch-size", 64);
-  opts.max_batch = flags.num("batch", 64);
+  opts.max_batch = window.max_batch;
   opts.epochs = static_cast<u32>(flags.num("epochs", 1));
   opts.announce_wait_ms =
       static_cast<int>(flags.num("announce-wait-ms", 60'000));

@@ -150,6 +150,28 @@ TEST(CliSpecTest, BooleanFlagSugarAndDefaults) {
   EXPECT_EQ(common.shards, 1u);
 }
 
+// A batch is verified under one secret point r, so prio_server refuses a
+// --batch outside [1, --refresh-every] at startup.
+TEST(CliSpecTest, BatchMustFitTheRefreshWindow) {
+  auto window = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    server::Flags flags(static_cast<int>(argv.size()), argv.data());
+    return server::parse_batch_window(flags);
+  };
+  EXPECT_EQ(window({}).max_batch, 64u);
+  EXPECT_EQ(window({}).refresh_every, 1024u);
+  EXPECT_EQ(window({"--batch", "64", "--refresh-every", "64"}).max_batch, 64u);
+  EXPECT_EQ(window({"--batch", "1", "--refresh-every", "1"}).max_batch, 1u);
+  EXPECT_THROW(window({"--batch", "128", "--refresh-every", "64"}),
+               std::invalid_argument);
+  EXPECT_THROW(window({"--batch", "0"}), std::invalid_argument);
+  EXPECT_THROW(window({"--refresh-every", "32"}), std::invalid_argument);
+  EXPECT_THROW(window({"--batch", "1", "--refresh-every", "0"}),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Gf2Xor: the XOR family's prime-field lifting, new with the registry.
 // ---------------------------------------------------------------------------

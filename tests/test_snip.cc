@@ -1,12 +1,15 @@
 // SNIP protocol tests: completeness over random valid inputs, soundness
 // against a malicious-client fuzzer that perturbs every part of the proof,
-// zero-knowledge smoke checks, and the Beaver-MPC (Prio-MPC) variant.
+// zero-knowledge smoke checks, the Beaver-MPC (Prio-MPC) variant, and the
+// sans-IO round engine (core/snip_rounds.h) driven without sockets.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "circuit/circuit.h"
+#include "core/snip_rounds.h"
 #include "crypto/rng.h"
 #include "snip/mpc.h"
 #include "snip/snip.h"
@@ -415,6 +418,147 @@ TEST(NttCacheConcurrency, ConcurrentProversMatchSingleThreaded) {
       EXPECT_TRUE(got128[t][i] == want128) << "m=" << sizes[i] << " thread " << t;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Round engine (core/snip_rounds.h): three servers' engines in one thread,
+// every message through encode + decode.
+// ---------------------------------------------------------------------------
+
+// A four-submission batch on three servers: valid, an out-of-range input
+// with an honest proof, valid, and one that server 1 could not parse.
+struct EngineBatch {
+  static constexpr size_t kServers = 3;
+  static constexpr size_t kQ = 4;
+  using F = Fp64;
+
+  EngineBatch() {
+    SecureRng rng(5);
+    SnipProver<F> prover(&circuit);
+    SnipVerifier<F> ver(&circuit);
+    for (size_t i = 0; i < kServers; ++i) ctxs.emplace_back(&circuit, kServers, 42);
+    checks.assign(kServers, SnipLocalChecks<F>(kQ));
+    for (size_t v = 0; v < kQ; ++v) {
+      std::vector<F> x(4, F::one());
+      if (v == 1) x[2] = F::from_u64(2);
+      auto shares = share_vector<F>(prover.build_extended_input(x, rng), kServers, rng);
+      for (size_t i = 0; i < kServers; ++i) {
+        if (v == 3 && i == 1) continue;
+        checks[i].set(v, ver.local_check(ctxs[i], i, std::span<const F>(shares[i])));
+      }
+    }
+  }
+
+  std::vector<SnipRound1<F>> round1() const {
+    std::vector<SnipRound1<F>> out;
+    for (const auto& c : checks) {
+      out.push_back(*decode_snip_round1<F>(encode_snip_round(snip_round1(c)), kQ));
+    }
+    return out;
+  }
+  SnipRound2<F> round2() const {
+    return *decode_snip_round2<F>(encode_snip_round(snip_combine<F>(round1())), kQ);
+  }
+  std::vector<SnipRound3<F>> round3(const SnipRound2<F>& r2) const {
+    std::vector<SnipRound3<F>> out;
+    for (size_t i = 0; i < kServers; ++i) {
+      out.push_back(*decode_snip_round3<F>(
+          encode_snip_round(*snip_round3(ctxs[i], checks[i], r2)), r2.de.size()));
+    }
+    return out;
+  }
+
+  Circuit<F> circuit = bits_circuit<F>(4);
+  std::vector<VerificationContext<F>> ctxs;
+  std::vector<SnipLocalChecks<F>> checks;
+};
+
+TEST(SnipRoundsTest, LockStepEnginesDecideLikeTheReferenceCheck) {
+  EngineBatch b;
+  const auto r2 = b.round2();
+  EXPECT_EQ(r2.live, (std::vector<u8>{1, 1, 1, 0}));
+  const auto r3 = b.round3(r2);
+  const auto r4 = decode_snip_round4(
+      encode_snip_round(snip_decide<Fp64>(r2, r3)), EngineBatch::kQ);
+  ASSERT_TRUE(r4.has_value());
+  EXPECT_EQ(r4->accept, (std::vector<u8>{1, 0, 1, 0}));
+}
+
+// Every message refuses a truncated body, a body with a trailing byte, and
+// a body whose count exceeds the batch it is decoded for.
+TEST(SnipRoundsTest, MalformedBodiesRefused) {
+  using F = Fp64;
+  EngineBatch b;
+  constexpr size_t q = EngineBatch::kQ;
+  const auto r1 = b.round1()[0];
+  const auto r2 = b.round2();
+  const auto r3 = b.round3(r2)[0];
+  const size_t ql = r2.de.size();
+  const SnipRound4 r4 = snip_decide<F>(r2, b.round3(r2));
+  const std::pair<F, F> extra{F::one(), F::one()};
+
+  auto r1_big = r1;
+  r1_big.parsed.push_back(1);
+  r1_big.de.push_back(extra);
+  auto r2_big = r2;
+  r2_big.live.push_back(1);
+  r2_big.de.push_back(extra);
+  auto r3_big = r3;
+  r3_big.sigma_out.push_back(extra);
+  auto r4_big = r4;
+  r4_big.accept.push_back(0);
+
+  struct Case {
+    const char* name;
+    std::vector<u8> body, oversized;
+    std::function<bool(std::span<const u8>)> decodes;
+  };
+  const std::vector<Case> cases = {
+      {"round 1", encode_snip_round(r1), encode_snip_round(r1_big),
+       [&](auto body) { return decode_snip_round1<F>(body, q).has_value(); }},
+      {"round 2", encode_snip_round(r2), encode_snip_round(r2_big),
+       [&](auto body) { return decode_snip_round2<F>(body, q).has_value(); }},
+      {"round 3", encode_snip_round(r3), encode_snip_round(r3_big),
+       [&](auto body) { return decode_snip_round3<F>(body, ql).has_value(); }},
+      {"round 4", encode_snip_round(r4), encode_snip_round(r4_big),
+       [&](auto body) { return decode_snip_round4(body, q).has_value(); }},
+  };
+  for (const Case& c : cases) {
+    EXPECT_TRUE(c.decodes(c.body)) << c.name;
+    auto truncated = c.body;
+    truncated.pop_back();
+    EXPECT_FALSE(c.decodes(truncated)) << c.name << " truncated";
+    auto trailing = c.body;
+    trailing.push_back(0);
+    EXPECT_FALSE(c.decodes(trailing)) << c.name << " trailing byte";
+    EXPECT_FALSE(c.decodes(c.oversized)) << c.name << " oversized";
+    EXPECT_FALSE(c.decodes({})) << c.name << " empty";
+  }
+}
+
+TEST(SnipRoundsTest, Round2TotalsMustMatchLivePopcount) {
+  EngineBatch b;
+  const auto r2 = b.round2();  // three live submissions
+  auto fewer = r2;
+  fewer.de.pop_back();
+  auto more = r2;
+  more.de.push_back(r2.de.back());
+  for (const auto& m : {fewer, more}) {
+    EXPECT_FALSE(decode_snip_round2<Fp64>(encode_snip_round(m), EngineBatch::kQ))
+        << m.de.size() << " totals for 3 live";
+  }
+}
+
+// A leader that marks live a submission this server did not parse is
+// equivocating: the server refuses to answer round 3.
+TEST(SnipRoundsTest, LiveBitOnUnparsedSubmissionRefused) {
+  EngineBatch b;
+  auto r2 = b.round2();
+  r2.live[3] = 1;
+  r2.de.push_back(r2.de.back());
+  ASSERT_TRUE(decode_snip_round2<Fp64>(encode_snip_round(r2), EngineBatch::kQ));
+  EXPECT_FALSE(snip_round3(b.ctxs[1], b.checks[1], r2).has_value());
+  EXPECT_TRUE(snip_round3(b.ctxs[0], b.checks[0], r2).has_value());
 }
 
 }  // namespace

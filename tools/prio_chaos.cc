@@ -9,8 +9,10 @@
 //
 //   * every epoch's published aggregate is fetched from server 0 and must
 //     be BIT-IDENTICAL (accepted count, sigma vector, typed result bytes)
-//     to the simnet oracle (core/deployment.h) fed the same sealed bytes
-//     in the same order;
+//     to a plaintext reference that shares no code with the verifier: the
+//     decoded sum of Afe::encode over the epoch's honest clients, each
+//     client counted the first time it is seen (tampered uploads and
+//     replays must be rejected);
 //   * after every non-final epoch, each server's /metrics endpoint is
 //     scraped until every shard lane's prio_lane_epoch gauge has advanced
 //     past the verified epoch -- a lane that wedged fails the run;
@@ -22,8 +24,8 @@
 // reproduces the same kills, the same fault plans, and the same inputs
 // bit-for-bit (the run prints the schedule up front so two runs can be
 // diffed). Transient timing still varies run to run -- the invariant is
-// that EVERY interleaving of the same schedule must produce the oracle's
-// aggregate.
+// that EVERY interleaving of the same schedule must produce the
+// reference aggregate.
 //
 // Port discipline: bases are probed in 49000-56999, disjoint from
 // e2e_localhost.sh (21000+), e2e_crash_recovery.sh (31000+) and
@@ -53,12 +55,13 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "afe/registry.h"
-#include "core/deployment.h"
+#include "core/client.h"
 #include "net/tcp_transport.h"
 #include "obs/stats_server.h"
 #include "server/cli.h"
@@ -694,17 +697,13 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
   Driver driver(&ctx, &cluster, sched, base);
   SplitMix tear_rng{sched.seed ^ 0x544f524eull};
 
-  // The simnet oracle: ONE deployment across all epochs (mirroring the
-  // servers' continuous protocol state); per-epoch expectations come from
-  // diffing sigma/accepted at the boundaries, exactly like prio_loadgen.
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = sched.master_seed;
-  PrioDeployment<F, Afe> sim(&afe, sim_opts);
+  // Uploads are sealed by the standalone client encoder; the expected
+  // aggregate is computed in plaintext from the inputs the schedule knows
+  // are honest.
+  PrioClient<F, Afe> client(&afe, kServers, sched.master_seed);
   SecureRng rng = SecureRng::from_os_entropy();
   std::map<u64, std::vector<std::vector<u8>>> enc;  // bytes as sent
-  std::vector<F> sigma_prev(afe.k_prime(), F::zero());
-  size_t accepted_prev = 0;
+  std::set<u64> seen;  // clients already counted by the reference
 
   for (size_t e = 0; e < sched.epochs.size() && !ctx.failed(); ++e) {
     const EpochPlan& plan = sched.epochs[e];
@@ -733,7 +732,7 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
       }
       if (!item.replay) {
         auto blobs =
-            sim.client_upload(afe::sample_input(afe, item.cid), item.cid, rng);
+            client.upload(afe::sample_input(afe, item.cid), item.cid, rng);
         if (contains(plan.tampered, item.cid)) {
           blobs[item.cid % kServers][12] ^= 1;
         }
@@ -753,20 +752,18 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     }
     if (ctx.failed()) break;
 
-    // Oracle step: the same bytes in the same order (replays included --
-    // the sim's replay floor rejects them just as the servers must).
-    std::vector<Submission> subs;
-    subs.reserve(order.size());
-    for (const Item& item : order) subs.push_back({item.cid, enc[item.cid]});
-    sim.process_batch(std::span<const Submission>(subs));
-    auto sigma_now = sim.sigma_now();
-    std::vector<F> sigma_epoch(afe.k_prime());
-    for (size_t c = 0; c < afe.k_prime(); ++c) {
-      sigma_epoch[c] = sigma_now[c] - sigma_prev[c];
+    // Plaintext reference: the k' prefix of every honest fresh client's
+    // encoding, summed and decoded. Replays resend a client already counted.
+    std::vector<F> sigma_epoch(afe.k_prime(), F::zero());
+    size_t acc_epoch = 0;
+    for (const Item& item : order) {
+      if (contains(plan.tampered, item.cid) || !seen.insert(item.cid).second) {
+        continue;
+      }
+      const auto x = afe.encode(afe::sample_input(afe, item.cid));
+      for (size_t c = 0; c < afe.k_prime(); ++c) sigma_epoch[c] += x[c];
+      ++acc_epoch;
     }
-    const size_t acc_epoch = sim.accepted() - accepted_prev;
-    sigma_prev = std::move(sigma_now);
-    accepted_prev = sim.accepted();
     auto expect_result =
         afe.decode(std::span<const F>(sigma_epoch), acc_epoch);
     const auto expect_typed = afe::result_bytes(afe, expect_result);
@@ -776,12 +773,13 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     if (got->accepted != acc_epoch || got->sigma != sigma_epoch ||
         got->typed != expect_typed) {
       ctx.fail("epoch " + std::to_string(e) + " aggregate DIVERGES from the "
-               "simnet oracle (accepted " + std::to_string(got->accepted) +
+               "plaintext reference (accepted " +
+               std::to_string(got->accepted) +
                " vs " + std::to_string(acc_epoch) + ")");
       break;
     }
     std::printf("chaos[%llu]: epoch %zu ok: accepted=%zu/%zu (bit-identical "
-                "to oracle)\n",
+                "to the plaintext reference)\n",
                 (unsigned long long)sched.seed, e, acc_epoch, order.size());
     std::fflush(stdout);
 
